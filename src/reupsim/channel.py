@@ -11,7 +11,7 @@ is what the trainer batches over.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -314,6 +314,8 @@ def _coupling_from_dict(d: dict) -> CouplingSpec:
         return CouplingSpec.cu_ij(int(d["i"]), int(d["j"]))
     if variant == "CU_alpha":
         return CouplingSpec.cu_alpha(PauliWord(tuple(d["word"])))
+    if variant != "General":
+        raise ValueError(f"unknown coupling variant {variant!r}")
     return CouplingSpec.general(
         HermitianGenerator(int(d["n_qubits"]), np.array(d["coeffs"], dtype=float))
     )

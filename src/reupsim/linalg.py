@@ -7,7 +7,7 @@ simulator never exceeds a handful of qubits) so dense routines are fine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -139,7 +139,7 @@ class HermitianGenerator:
     """
 
     n_qubits: int
-    coeffs: np.ndarray = field(default=None)  # type: ignore[assignment]
+    coeffs: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
         m = 4**self.n_qubits - 1

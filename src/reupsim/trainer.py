@@ -2,19 +2,23 @@
 
 Forward passes batch the whole dataset through per-layer transfer tensors,
 so one epoch costs a handful of einsums instead of a density-matrix
-simulation per sample.  Restricted-coupling angles are differentiated with
-the two-point shift rule, Hermitian generator coefficients with central
-finite differences, and the linear readout analytically; updates are Adam.
+simulation per sample.  Gradients are exact: restricted-coupling angles use
+the two-point shift rule, Hermitian generator coefficients one adjoint
+contraction over the samples per layer followed by the analytic derivative
+of exp(iH), and the readout (w, b) is differentiated directly.  A full-batch
+epoch reuses the forward pass of its recorded loss for the gradient.
+Updates are Adam; gradient_fd is the central-difference oracle the tests
+compare against.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianGenerator
+from .linalg import HermitianGenerator, pauli_word_basis
 from .channel import (
     CouplingSpec,
     LayerSpec,
@@ -44,7 +48,8 @@ class TrainConfig:
     three readout axes with shots // 3 repetitions each.  Gradients always
     use exact expectations; shot noise only enters reported losses and
     metrics.  freeze_layers trains the readout (w, b) alone, which makes
-    the mse problem convex.
+    the mse problem convex.  fd_step is the step of gradient_fd only;
+    training takes no finite-difference step.
     """
 
     loss: str = "mse"
@@ -112,12 +117,22 @@ def _layer_maps(layer: LayerSpec, n_qubits: int, lam_ext: np.ndarray):
     return v[:, :, 1:], v[:, :, 0]
 
 
-def _forward(model: ReuploadModel, lam_ext: np.ndarray) -> np.ndarray:
-    r = np.broadcast_to(_initial_bloch(model), (lam_ext.shape[0], 3))
+def _forward_states(model: ReuploadModel, lam: np.ndarray):
+    """Per-layer linear parts (N, 3, 3) and the Bloch vectors entering each
+    layer, followed by the final ones.
+    """
+    r = np.broadcast_to(_initial_bloch(model), (lam.shape[0], 3))
+    maps, states = [], [r]
     for layer in model.layers:
-        m, d = _layer_maps(layer, model.n_qubits, lam_ext)
+        m, d = _layer_maps(layer, model.n_qubits, lam)
+        maps.append(m)
         r = np.einsum("nij,nj->ni", m, r) + d
-    return r
+        states.append(r)
+    return maps, states
+
+
+def _forward(model: ReuploadModel, lam_ext: np.ndarray) -> np.ndarray:
+    return _forward_states(model, lam_ext)[1][-1]
 
 
 def _readout(r: np.ndarray, w: np.ndarray, b: float, shots: int, rng) -> np.ndarray:
@@ -262,26 +277,46 @@ def _local_readout(layer, n_qubits, lam, r_prev, u_suffix):
     return np.einsum("ni,ni->n", u_suffix, out)
 
 
-def _perturbed_generator(layer: LayerSpec, k: int, h: float) -> LayerSpec:
-    gen = layer.coupling.generator
-    coeffs = np.asarray(gen.coeffs, dtype=float).copy()
-    coeffs[k] += h
-    return LayerSpec(layer.theta, CouplingSpec.general(HermitianGenerator(gen.n_qubits, coeffs)))
+def _generator_gradient(layer: LayerSpec, n_qubits: int, g: np.ndarray) -> np.ndarray:
+    """Pull dloss/dt back to the Pauli coefficients of a General generator.
+
+    g[i, j, alpha] is dloss/dt[i, j, alpha] for the layer's transfer tensor
+    t (see layer_transfer_tensor), flattened over (j, alpha), shape
+    (3, 4**(n+1)).  With U = exp(iH) K and K = Rz(theta) (x) I,
+    dloss = Re tr(dU M) / d for M = sum g[i, m] P_m U^dag (sigma_i (x) I).
+    The derivative of exp(iH) along dH is V (Phi o V^dag dH V) V^dag for
+    H = V diag(lam) V^dag, with Phi the symmetric matrix of divided
+    differences of exp(i .) (Daleckii-Krein), so dloss/dc_k =
+    Re tr(P_k Q) / d with Q = V (Phi o V^dag K M V) V^dag.
+    """
+    d = 2**n_qubits
+    words = pauli_word_basis(n_qubits + 1)
+    signal = words[[4**n_qubits * i for i in (1, 2, 3)]]
+    vals, vecs = np.linalg.eigh(layer.coupling.generator.matrix())
+    phase = np.exp(1j * vals)
+    k_diag = np.repeat(np.exp([-0.5j * layer.theta, 0.5j * layer.theta]), d)
+    u_dag = (k_diag.conj()[:, None] * vecs) @ (phase.conj()[:, None] * vecs.conj().T)
+    b = np.einsum("im,mxy->ixy", g, words)
+    m = np.sum(b @ u_dag @ signal, axis=0)
+    m_eig = vecs.conj().T @ (k_diag[:, None] * m) @ vecs
+    # (e^{ia} - e^{ib}) / (a - b) in a form that stays exact as a -> b
+    gap = vals[:, None] - vals[None, :]
+    phi = 1j * np.exp(0.5j * (vals[:, None] + vals[None, :])) * np.sinc(gap / (2 * np.pi))
+    q = vecs @ (phi * m_eig) @ vecs.conj().T
+    return np.einsum("kab,ba->k", words[1:], q).real / d
 
 
-def _loss_gradient(model: ReuploadModel, lam, y, config: TrainConfig):
-    """Exact-expectation loss gradient in pack_params order."""
+def _loss_gradient(model: ReuploadModel, lam, y, config: TrainConfig, forward=None):
+    """Exact-expectation loss gradient in pack_params order.
+
+    forward is _forward_states(model, lam) when the caller already has it.
+    Restricted angles use the shift rule, General generators one adjoint
+    contraction over the samples per layer (_generator_gradient).
+    """
     n = lam.shape[0]
     n_qubits = model.n_qubits
-    maps = []
-    r = np.broadcast_to(_initial_bloch(model), (n, 3))
-    prefixes = [r]
-    for layer in model.layers:
-        m, d = _layer_maps(layer, n_qubits, lam)
-        maps.append(m)
-        r = np.einsum("nij,nj->ni", m, r) + d
-        prefixes.append(r)
-    f = r @ model.readout_w + model.readout_b
+    maps, prefixes = forward if forward is not None else _forward_states(model, lam)
+    f = prefixes[-1] @ model.readout_w + model.readout_b
     loss, dldf = _loss_terms(f, y, config)
 
     # readout vector pulled back to just after each layer
@@ -298,16 +333,11 @@ def _loss_gradient(model: ReuploadModel, lam, y, config: TrainConfig):
             continue
         r_prev, u_suf = prefixes[li], suffixes[li]
         if layer.coupling.variant == "General":
-            gen_size = layer.coupling.generator.coeffs.size
-            gl = np.empty(gen_size)
-            h = config.fd_step
-            for k in range(gen_size):
-                df = (
-                    _local_readout(_perturbed_generator(layer, k, +h), n_qubits, lam, r_prev, u_suf)
-                    - _local_readout(_perturbed_generator(layer, k, -h), n_qubits, lam, r_prev, u_suf)
-                ) / (2.0 * h)
-                gl[k] = dldf @ df
-            grads.append(gl)
+            # G[i, j, alpha] = sum_n dldf_n u_n[i] (1, r_prev)_n[j] lam_n[alpha]
+            r_ext = np.concatenate([np.ones((n, 1)), r_prev], axis=1)
+            left = (dldf[:, None] * u_suf)[:, :, None] * r_ext[:, None, :]
+            g = (left.reshape(n, 12).T @ lam).reshape(3, -1)
+            grads.append(_generator_gradient(layer, n_qubits, g))
         else:
             up = LayerSpec(layer.theta + np.pi / 2, layer.coupling)
             dn = LayerSpec(layer.theta - np.pi / 2, layer.coupling)
@@ -346,32 +376,30 @@ def train(model: ReuploadModel, train_set, test_set, config: TrainConfig = None)
     n = len(train_set)
     bs = config.batch_size if 0 < config.batch_size < n else n
 
-    def recorded_loss(pvec: np.ndarray) -> float:
-        current = unpack_params(work, pvec)
-        f = _readout(_forward(current, lam), current.readout_w, current.readout_b,
-                     config.shots, rng)
-        return _loss_terms(f, y, config)[0]
-
     history = []
-    for epoch in range(config.max_epochs):
-        loss = recorded_loss(p)
-        if not np.isfinite(loss):
-            raise RuntimeError(f"training loss became non-finite at epoch {epoch}")
-        history.append(loss)
-        order = rng.permutation(n) if bs < n else np.arange(n)
+    for epoch in range(config.max_epochs + 1):
+        current = unpack_params(work, p)
+        forward = _forward_states(current, lam)
+        f = _readout(forward[1][-1], current.readout_w, current.readout_b, config.shots, rng)
+        history.append(_loss_terms(f, y, config)[0])
+        if not np.isfinite(history[-1]):
+            raise RuntimeError(f"training loss became non-finite after {epoch} epochs")
+        if epoch == config.max_epochs:
+            break
+        order = rng.permutation(n) if bs < n else None
         for start in range(0, n, bs):
-            idx = order[start : start + bs]
-            _, g = _loss_gradient(unpack_params(work, p), lam[idx], y[idx], config)
+            if order is None:
+                # full batch: the recorded loss's forward pass serves the gradient
+                _, g = _loss_gradient(current, lam, y, config, forward)
+            else:
+                idx = order[start : start + bs]
+                _, g = _loss_gradient(unpack_params(work, p), lam[idx], y[idx], config)
             steps += 1
             m_adam = ADAM_BETA1 * m_adam + (1.0 - ADAM_BETA1) * g
             v_adam = ADAM_BETA2 * v_adam + (1.0 - ADAM_BETA2) * g * g
             m_hat = m_adam / (1.0 - ADAM_BETA1**steps)
             v_hat = v_adam / (1.0 - ADAM_BETA2**steps)
             p = p - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    final_loss = recorded_loss(p)
-    if not np.isfinite(final_loss):
-        raise RuntimeError("training loss became non-finite after the last epoch")
-    history.append(final_loss)
 
     trained = unpack_params(work, p)
     metric, histogram = evaluate(trained, test_set, config)

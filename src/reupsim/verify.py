@@ -11,6 +11,7 @@ observable has determinant >= 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -168,20 +169,29 @@ def purity_observable(params: PurityObservableParams) -> np.ndarray:
     return o
 
 
+@lru_cache(maxsize=1)
+def _purity_probes():
+    """Two-copy states rho (x) rho and purities of 50 fixed Bloch-ball states."""
+    rng = np.random.default_rng(714)
+    probes = [sample_bloch_ball(rng) for _ in range(50)]
+    two_copy = np.array([kron(rho.matrix, rho.matrix) for rho in probes])
+    purities = np.array([purity(rho) for rho in probes])
+    two_copy.flags.writeable = False
+    purities.flags.writeable = False
+    return two_copy, purities
+
+
 def purity_observable_det(params: PurityObservableParams) -> float:
     """det(corr(O)) for the purity observable family; always >= 1.
 
-    Also re-derives tr((rho x rho) O) = tr(rho^2) on 50 sampled states as a
-    guard against construction mistakes.
+    Also re-derives tr((rho x rho) O) = tr(rho^2) on 50 fixed sampled states
+    as a guard against construction mistakes.
     """
     o = purity_observable(params)
-    rng = np.random.default_rng(714)
-    for _ in range(50):
-        rho = sample_bloch_ball(rng)
-        two_copy = kron(rho.matrix, rho.matrix)
-        got = float(np.trace(two_copy @ o).real)
-        if abs(got - purity(rho)) > 1e-10:
-            raise RuntimeError("observable family does not evaluate purity")
+    two_copy, purities = _purity_probes()
+    got = np.trace(two_copy @ o, axis1=1, axis2=2).real
+    if np.max(np.abs(got - purities)) > 1e-10:
+        raise RuntimeError("observable family does not evaluate purity")
     return corr(o).det
 
 

@@ -2,7 +2,8 @@
 
 Each test exercises one headline guarantee at its stated tolerance and
 prints a single pass/fail line (visible with pytest -s).  The training
-criteria rerun full ladders, so this module takes several minutes.
+criteria rerun full ladders, so this module takes most of the suite's time,
+about 25 s on a 2-vCPU machine with numpy 2.4.
 """
 
 import time

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -311,6 +313,14 @@ def test_model_json_roundtrip_bit_exact():
     gen_a = model.layers[3].coupling.generator.coeffs
     gen_b = back.layers[3].coupling.generator.coeffs
     assert np.array_equal(gen_a, gen_b)
+
+
+def test_model_json_rejects_unknown_variant_by_name():
+    rec = json.loads(model_to_json(ReuploadModel(1, [LayerSpec(0.1, CouplingSpec.cnot())],
+                                                 np.zeros(3), 0.0)))
+    rec["layers"][0]["coupling"] = {"variant": "CZ"}
+    with pytest.raises(ValueError, match="'CZ'"):
+        model_from_json(json.dumps(rec))
 
 
 def test_affine_map_validation():

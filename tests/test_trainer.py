@@ -3,7 +3,7 @@ import pytest
 
 from reupsim.channel import CouplingSpec, LayerSpec, ReuploadModel, model_to_json, run_model
 from reupsim.compiler import MonomialSpec, PolynomialSpec, fit_coefficients
-from reupsim.linalg import HermitianGenerator
+from reupsim.linalg import HermitianGenerator, letters_to_index
 from reupsim.states import LabeledState, density_from_bloch, generate_dataset, psi_t
 from reupsim.trainer import (
     TrainConfig,
@@ -19,7 +19,17 @@ from reupsim.trainer import (
     train,
     unpack_params,
 )
-from reupsim.trainer import _forward, _lam_ext, _labels, _loss_gradient
+from reupsim.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    _forward,
+    _lam_ext,
+    _labels,
+    _loss_gradient,
+    _loss_terms,
+    _readout,
+)
 
 
 def onehot_model(n_layers: int, hot: int, theta: float) -> ReuploadModel:
@@ -163,12 +173,53 @@ class TestGradientFD:
         assert np.max(np.abs(g)) <= 1e-8
 
     def test_matches_internal_engine(self):
-        dataset, _ = generate_dataset("purity", 10, 2, seed=3)
-        model = random_model(1, 2, seed=4)
-        cfg = TrainConfig(loss="logistic")
-        g_fd = gradient_fd(model, dataset, cfg)
+        for n_qubits, task in ((1, "purity"), (2, "entropy")):
+            dataset, _ = generate_dataset(task, 10, 2, seed=3)
+            lam, y = _lam_ext(dataset, n_qubits), _labels(dataset)
+            for n_layers in (1, 2, 3):
+                model = random_model(n_qubits, n_layers, seed=4)
+                for loss in ("mse", "logistic"):
+                    cfg = TrainConfig(loss=loss)
+                    _, g_engine = _loss_gradient(model, lam, y, cfg)
+                    np.testing.assert_allclose(g_engine, gradient_fd(model, dataset, cfg),
+                                               rtol=0, atol=1e-6,
+                                               err_msg=f"n={n_qubits} L={n_layers} {loss}")
+
+    @pytest.mark.parametrize("loss", ["mse", "logistic"])
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_engine_mixed_cnot_and_general(self, loss, freeze):
+        rng = np.random.default_rng(12)
+
+        def general(theta: float) -> LayerSpec:
+            gen = HermitianGenerator(2, rng.normal(scale=0.3, size=15))
+            return LayerSpec(theta, CouplingSpec.general(gen))
+
+        layers = [LayerSpec(0.4, CouplingSpec.cnot()), general(-0.7),
+                  LayerSpec(1.1, CouplingSpec.cnot()), general(0.0)]
+        model = ReuploadModel(1, layers, rng.normal(size=3), 0.2)
+        dataset, _ = generate_dataset("band", 12, 2, seed=6)
+        cfg = TrainConfig(loss=loss, freeze_layers=freeze)
         _, g_engine = _loss_gradient(model, _lam_ext(dataset, 1), _labels(dataset), cfg)
-        np.testing.assert_allclose(g_fd, g_engine, atol=1e-6)
+        g_fd = gradient_fd(model, dataset, cfg)
+        if freeze:
+            assert np.all(g_engine[:-4] == 0.0)
+            g_fd[:-4] = 0.0
+        np.testing.assert_allclose(g_engine, g_fd, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("n_qubits, word", [(1, None), (1, (3, 3)), (2, None), (2, (3, 3, 0))])
+    def test_engine_degenerate_spectra(self, n_qubits, word):
+        # an all-zero generator has one eigenvalue; a single Pauli word has two
+        coeffs = np.zeros(4 ** (n_qubits + 1) - 1)
+        if word is not None:
+            coeffs[letters_to_index(word) - 1] = 0.8
+        gen = HermitianGenerator(n_qubits + 1, coeffs)
+        layers = [LayerSpec(0.3, CouplingSpec.general(gen)), LayerSpec(0.0, CouplingSpec.general(gen))]
+        model = ReuploadModel(n_qubits, layers, np.array([0.5, -0.4, 0.9]), 0.1)
+        task = "purity" if n_qubits == 1 else "entropy"
+        dataset, _ = generate_dataset(task, 10, 2, seed=7)
+        cfg = TrainConfig(loss="mse")
+        _, g_engine = _loss_gradient(model, _lam_ext(dataset, n_qubits), _labels(dataset), cfg)
+        np.testing.assert_allclose(g_engine, gradient_fd(model, dataset, cfg), rtol=0, atol=1e-6)
 
 
 class TestTrain:
@@ -254,6 +305,47 @@ class TestTrain:
         ]
         sigma = np.std(draws, ddof=1) / np.sqrt(len(draws))
         assert abs(np.mean(draws) - bias - exact) <= 3 * sigma + 1e-12
+
+
+def replayed_history(model: ReuploadModel, data, cfg: TrainConfig) -> list:
+    """train's loss_history from a plain Adam loop: each epoch records the
+    loss from its own forward pass, then draws the minibatch order.
+    """
+    lam, y = _lam_ext(data, model.n_qubits), _labels(data)
+    rng = np.random.default_rng(cfg.seed)
+    p = pack_params(model)
+    m_adam, v_adam, steps = np.zeros(p.size), np.zeros(p.size), 0
+    n = len(data)
+    bs = cfg.batch_size or n
+    history = []
+    for epoch in range(cfg.max_epochs + 1):
+        current = unpack_params(model, p)
+        f = _readout(_forward(current, lam), current.readout_w, current.readout_b, cfg.shots, rng)
+        history.append(_loss_terms(f, y, cfg)[0])
+        if epoch == cfg.max_epochs:
+            return history
+        order = rng.permutation(n) if bs < n else np.arange(n)
+        for start in range(0, n, bs):
+            idx = order[start : start + bs]
+            _, g = _loss_gradient(unpack_params(model, p), lam[idx], y[idx], cfg)
+            steps += 1
+            m_adam = ADAM_BETA1 * m_adam + (1.0 - ADAM_BETA1) * g
+            v_adam = ADAM_BETA2 * v_adam + (1.0 - ADAM_BETA2) * g * g
+            m_hat = m_adam / (1.0 - ADAM_BETA1**steps)
+            v_hat = v_adam / (1.0 - ADAM_BETA2**steps)
+            p = p - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+class TestReplay:
+    @pytest.mark.parametrize("shots, batch_size", [(0, 0), (30, 0), (0, 16), (30, 16)])
+    def test_loss_history_matches_plain_loop(self, shots, batch_size):
+        data, test = generate_dataset("band", 40, 10, seed=13)
+        gen = HermitianGenerator(2, np.random.default_rng(14).normal(scale=0.2, size=15))
+        layers = [LayerSpec(0.2, CouplingSpec.cnot()), LayerSpec(0.0, CouplingSpec.general(gen))]
+        model = ReuploadModel(1, layers, np.array([0.3, -0.5, 0.8]), 0.0)
+        cfg = TrainConfig(loss="logistic", max_epochs=6, seed=4, shots=shots,
+                          batch_size=batch_size)
+        assert train(model, data, test, cfg).loss_history == replayed_history(model, data, cfg)
 
 
 class TestEvaluate:

@@ -134,6 +134,14 @@ class TestPurityObservable:
         np.testing.assert_allclose(corr(purity_observable(c)).entries, want, atol=1e-12)
         assert purity_observable_det(c) == pytest.approx(1.29, abs=1e-12)
 
+    def test_guard_rejects_wrong_observable(self, monkeypatch):
+        from reupsim import verify
+
+        # the swap plus a multiple of the identity shifts every purity
+        monkeypatch.setattr(verify, "purity_observable", lambda params: swap4() + 1e-9 * np.eye(4))
+        with pytest.raises(RuntimeError, match="does not evaluate purity"):
+            purity_observable_det(np.zeros(6))
+
     def test_evaluates_purity(self):
         rng = np.random.default_rng(21)
         o = purity_observable(rng.uniform(-1, 1, size=6))
