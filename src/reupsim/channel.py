@@ -4,19 +4,22 @@ Each layer rotates the signal about z, couples it unitarily to a fresh copy
 of an n-qubit input state and traces the copy out.  The signal qubit is
 always the first tensor factor.  The induced map on the signal Bloch vector
 is affine; `layer_affine_map` extracts it exactly and `layer_transfer_tensor`
-gives the same data resolved over the Pauli coefficients of the input, which
-is what the trainer batches over.
+gives the same data resolved over the Pauli coefficients of the input.
+`affine_chain` pushes a batch of inputs through a chain of transfer tensors;
+it is the one batched kernel behind training and compilation.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
     PAULIS,
+    UNITARY_ATOL,
     HermitianGenerator,
     exp_i_hermitian,
     kron,
@@ -27,8 +30,6 @@ from .linalg import (
 from .states import DensityMatrix, PauliWord, bloch_vector, pauli_coeffs
 
 COUPLING_VARIANTS = ("CNOT_BtoA", "CU_ij", "CU_alpha", "General")
-
-UNITARY_ATOL = 1e-10
 
 
 @dataclass
@@ -118,11 +119,15 @@ class ReuploadModel:
         if self.readout_w.shape != (3,):
             raise ValueError("readout_w must be a 3-vector")
         self.readout_b = float(self.readout_b)
+        if not (np.isfinite(self.readout_w).all() and math.isfinite(self.readout_b)):
+            raise ValueError("readout weights must be finite")
         if self.initial_signal not in ("plus", "zero"):
             raise ValueError(f"initial_signal must be 'plus' or 'zero', got {self.initial_signal!r}")
         for layer in self.layers:
             if layer.coupling.n_env != self.n_qubits:
                 raise ValueError("coupling size does not match n_qubits")
+            if not math.isfinite(layer.theta):
+                raise ValueError("layer angles must be finite")
 
 
 @dataclass
@@ -214,6 +219,33 @@ def layer_transfer_tensor(layer: LayerSpec, n_qubits: int) -> np.ndarray:
     return np.transpose(t, (2, 0, 1)) / (2 * d)
 
 
+def initial_bloch(which: str) -> np.ndarray:
+    """Bloch vector of the signal start state "plus" (1,0,0) or "zero" (0,0,1)."""
+    if which == "plus":
+        return np.array([1.0, 0.0, 0.0])
+    return np.array([0.0, 0.0, 1.0])
+
+
+def affine_chain(tensors, lam_ext: np.ndarray, r0: np.ndarray):
+    """Push a batch of uploaded states through a chain of transfer tensors.
+
+    tensors are layer_transfer_tensor outputs, lam_ext the stacked (1, lam)
+    rows of the inputs, shape (N, 4**n), and r0 the Bloch vector entering the
+    first layer, shape (3,) or (N, 3).  Returns (maps, states): the per-layer
+    linear parts (N, 3, 3), and the Bloch vectors entering each layer
+    followed by the final ones (N, 3).
+    """
+    r = np.broadcast_to(r0, (lam_ext.shape[0], 3))
+    maps, states = [], [r]
+    for t in tensors:
+        v = np.einsum("ija,na->nij", t, lam_ext)
+        m, d = v[:, :, 1:], v[:, :, 0]
+        maps.append(m)
+        r = np.einsum("nij,nj->ni", m, r) + d
+        states.append(r)
+    return maps, states
+
+
 def layer_affine_map(layer: LayerSpec, rho: DensityMatrix) -> AffineBlochMap:
     """Exact affine Bloch action of a layer for a fixed uploaded state."""
     t = layer_transfer_tensor(layer, rho.n_qubits)
@@ -237,6 +269,15 @@ def run_model(model: ReuploadModel, rho: DensityMatrix):
     return r, float(model.readout_w @ r + model.readout_b)
 
 
+def sample_shots(expect, shots: int, rng):
+    """Shot estimate of +/-1-valued observables with expectations expect,
+    each averaged over shots single-shot outcomes."""
+    if rng is None:
+        raise ValueError("shot sampling needs an rng")
+    p = np.clip((1.0 + expect) / 2.0, 0.0, 1.0)
+    return 2.0 * rng.binomial(shots, p) / shots - 1.0
+
+
 def expectation(tau: DensityMatrix, w, b: float, shots: int = 0, rng=None) -> float:
     """Readout w . r + b from the signal state, exactly or shot-sampled.
 
@@ -248,11 +289,7 @@ def expectation(tau: DensityMatrix, w, b: float, shots: int = 0, rng=None) -> fl
     if shots:
         if shots < 3:
             raise ValueError("need at least 3 shots, one per measured axis")
-        if rng is None:
-            raise ValueError("shot sampling needs an rng")
-        m = shots // 3
-        p = np.clip((1.0 + r) / 2.0, 0.0, 1.0)
-        r = 2.0 * rng.binomial(m, p) / m - 1.0
+        r = sample_shots(r, shots // 3, rng)
     return float(w @ r + b)
 
 
@@ -281,10 +318,7 @@ def hadamard_test(rho: DensityMatrix, u: np.ndarray, imag: bool = False,
     out = full @ joint @ full.conj().T
     val = float(np.trace(kron(PAULIS[3], eye) @ out).real)
     if shots:
-        if rng is None:
-            raise ValueError("shot sampling needs an rng")
-        p = min(max((1.0 + val) / 2.0, 0.0), 1.0)
-        val = 2.0 * rng.binomial(shots, p) / shots - 1.0
+        val = float(sample_shots(val, shots, rng))
     return val
 
 

@@ -26,17 +26,7 @@ from .states import (
     write_dataset,
 )
 from .trainer import TrainConfig, histogram_to_csv, random_model, report_to_json, train
-from .verify import CHECKS, run_check
-
-# display thresholds of the certificate suite, mirroring each check's
-# internal pass rule
-CHECK_TOLERANCES = {
-    "evolution-formula": 1e-10,
-    "observation1": 1e-9,
-    "purity-observable": 1e-9,
-    "ksigma": 1e-9,
-    "swap-test": 1e-10,
-}
+from .verify import CHECK_TOLERANCES, CHECKS, run_check
 
 PRESETS = (
     "poly-linear",

@@ -20,14 +20,16 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import PAULIS, unitary_to_generator
-from .states import DensityMatrix, PauliCoeffs, PauliWord, density_from_bloch, density_from_coeffs, psi_t
+from .linalg import PAULIS, fd_jacobian, unitary_to_generator
+from .states import PauliWord
 from .channel import (
     CouplingSpec,
     LayerSpec,
     ReuploadModel,
+    affine_chain,
     build_coupling,
-    layer_affine_map,
+    initial_bloch,
+    layer_affine_map,  # noqa: F401  unused; bench/workloads.py PATCHES wraps it in traced runs
     layer_transfer_tensor,
 )
 
@@ -267,25 +269,10 @@ def _layer_scaling_variable(coupling: CouplingSpec) -> int:
     raise ValueError("general couplings need an explicit monomial basis")
 
 
-def _probe_state(n_qubits: int, lam_sparse: dict) -> DensityMatrix:
-    """Physical input with the requested Pauli coefficients, zeros elsewhere."""
-    if n_qubits == 1:
-        r = np.zeros(3)
-        for a, x in lam_sparse.items():
-            r[a - 1] = x
-        return density_from_bloch(r)
-    lam = np.zeros(4**n_qubits - 1)
-    for a, x in lam_sparse.items():
-        lam[a - 1] = x
-    return density_from_coeffs(PauliCoeffs(n_qubits, lam))
-
-
-def _model_value(model: ReuploadModel, rho: DensityMatrix) -> float:
-    """Readout through the per-layer affine maps; equal to run_model."""
-    r = np.array([1.0, 0.0, 0.0]) if model.initial_signal == "plus" else np.array([0.0, 0.0, 1.0])
-    for layer in model.layers:
-        r = layer_affine_map(layer, rho).apply(r)
-    return float(model.readout_w @ r + model.readout_b)
+def _final_bloch(model: ReuploadModel, lam_ext: np.ndarray) -> np.ndarray:
+    """Final signal Bloch vectors for stacked (1, lam) rows, shape (P, 3)."""
+    tensors = [layer_transfer_tensor(l, model.n_qubits) for l in model.layers]
+    return affine_chain(tensors, lam_ext, initial_bloch(model.initial_signal))[1][-1]
 
 
 def _solve_probe_system(a: np.ndarray, y: np.ndarray):
@@ -329,14 +316,14 @@ def extract_coefficients(circuit, basis: PolynomialSpec = None) -> np.ndarray:
         probes.append({a: val for a in m.exps})
     if monomials:
         probes.append({a: 0.5 * x for a, x in probes[1].items()})
-    rows, values = [], []
-    for lam_sparse in probes:
-        lam = np.zeros(4**model.n_qubits - 1)
+    lam_ext = np.zeros((len(probes), 4**model.n_qubits))
+    lam_ext[:, 0] = 1.0
+    for row, lam_sparse in zip(lam_ext, probes):
         for a, x in lam_sparse.items():
-            lam[a - 1] = x
-        rows.append([1.0] + [_monomial_value(m, lam) for m in monomials])
-        values.append(_model_value(model, _probe_state(model.n_qubits, lam_sparse)))
-    return _solve_probe_system(np.array(rows), np.array(values))
+            row[a] = x
+    rows = [[1.0] + [_monomial_value(m, lam[1:]) for m in monomials] for lam in lam_ext]
+    values = _final_bloch(model, lam_ext) @ model.readout_w + model.readout_b
+    return _solve_probe_system(np.array(rows), values)
 
 
 def _monomial_value(m: MonomialSpec, lam: np.ndarray) -> float:
@@ -353,15 +340,12 @@ def _extract_univariate(model: ReuploadModel) -> np.ndarray:
     var = variables.pop()
     L = len(model.layers)
     nodes = _chebyshev_nodes(L + 2)
-    values = []
-    for lam in nodes:
-        if model.n_qubits == 1 and var == 3:
-            rho = psi_t(np.sqrt((1.0 + lam) / 2.0))
-        else:
-            rho = _probe_state(model.n_qubits, {var: lam})
-        values.append(_model_value(model, rho))
+    lam_ext = np.zeros((nodes.size, 4**model.n_qubits))
+    lam_ext[:, 0] = 1.0
+    lam_ext[:, var] = nodes
+    values = _final_bloch(model, lam_ext) @ model.readout_w + model.readout_b
     a = np.vander(nodes, L + 1, increasing=True)
-    return _solve_probe_system(a, np.array(values))
+    return _solve_probe_system(a, values)
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +369,7 @@ def jacobian_theta0(n_layers: int, fd_step: float = 1e-5) -> np.ndarray:
     def coeffs(p):
         return _planar_coeffs(p[:L], p[L : L + 3], p[L + 3], L + 1)
 
-    jac = np.zeros((L + 1, L + 4))
-    for k in range(L + 4):
-        up, dn = p0.copy(), p0.copy()
-        up[k] += fd_step
-        dn[k] -= fd_step
-        jac[:, k] = (coeffs(up) - coeffs(dn)) / (2 * fd_step)
-    return jac
+    return fd_jacobian(coeffs, p0, fd_step)
 
 
 # ---------------------------------------------------------------------------
@@ -415,29 +393,20 @@ def _su2(axis, angle: float) -> np.ndarray:
     return np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * gen
 
 
-def _tensor_grid_coeffs(model: ReuploadModel, var_seq, variables, nodes_per_var):
+def _tensor_grid_coeffs(model: ReuploadModel, variables, nodes_per_var):
     """Coefficient tensors of the readout channels over an abstract lam grid.
 
     Chains the exact per-layer transfer tensors over a tensor grid in the
     scheduled variables and inverts the per-axis Vandermonde systems.
     Returns (channel_tensors[4], axis_sizes): channels are r1, r2, r3, 1.
     """
-    n = model.n_qubits
-    tensors = [layer_transfer_tensor(l, n) for l in model.layers]
     axes = [np.array(nodes_per_var[v]) for v in variables]
     grids = np.array(list(product(*axes)))  # (P, K)
     p = grids.shape[0]
-    lam_ext = np.zeros((p, 4**n))
+    lam_ext = np.zeros((p, 4**model.n_qubits))
     lam_ext[:, 0] = 1.0
-    for k, v in enumerate(variables):
-        lam_ext[:, v] = grids[:, k]
-    if model.initial_signal == "plus":
-        r = np.tile([1.0, 0.0, 0.0], (p, 1))
-    else:
-        r = np.tile([0.0, 0.0, 1.0], (p, 1))
-    for t in tensors:
-        r_ext = np.concatenate([np.ones((p, 1)), r], axis=1)
-        r = np.einsum("ija,pj,pa->pi", t, r_ext, lam_ext)
+    lam_ext[:, variables] = grids
+    r = _final_bloch(model, lam_ext)
     shape = [len(ax) for ax in axes]
     channels = []
     for c in range(4):
@@ -466,11 +435,39 @@ def _circuit_residual(model, poly, var_seq) -> float:
     variables = sorted(set(var_seq))
     degs = {v: var_seq.count(v) for v in variables}
     nodes = {v: np.linspace(-0.9, 0.9, degs[v] + 1) for v in variables}
-    channels, shape = _tensor_grid_coeffs(model, var_seq, variables, nodes)
+    channels, shape = _tensor_grid_coeffs(model, variables, nodes)
     target = _target_tensor(poly, variables, shape)
     w, b = model.readout_w, model.readout_b
     realized = w[0] * channels[0] + w[1] * channels[1] + w[2] * channels[2] + b * channels[3]
     return float(np.max(np.abs(realized - target)))
+
+
+def _damped_gauss_newton(residual, p: np.ndarray, max_iter: int, stop: float):
+    """Drive the sup norm of residual(p) down; returns (p, sup norm).
+
+    Each step solves the damped normal equations of the finite-difference
+    Jacobian and halves the step up to 20 times until the sup norm drops.
+    Stops below stop, after max_iter steps, or when no halving helps.
+    """
+    r = residual(p)
+    best = float(np.max(np.abs(r)))
+    for _ in range(max_iter):
+        if best < stop:
+            break
+        jac = fd_jacobian(residual, p, 1e-6)
+        step, *_ = np.linalg.lstsq(jac.T @ jac + 1e-6 * np.eye(p.size), -jac.T @ r, rcond=None)
+        scale = 1.0
+        for _ in range(20):
+            cand = p + scale * step
+            cand_r = residual(cand)
+            cand_best = float(np.max(np.abs(cand_r)))
+            if cand_best < best:
+                p, r, best = cand, cand_r, cand_best
+                break
+            scale /= 2
+        else:
+            break
+    return p, best
 
 
 def _fit_univariate(poly: PolynomialSpec, tol: float, max_iter: int, seed: int) -> CompiledCircuit:
@@ -483,34 +480,8 @@ def _fit_univariate(poly: PolynomialSpec, tol: float, max_iter: int, seed: int) 
     def realized(p):
         return _planar_coeffs(p[:L], w, p[L], L + 1)
 
-    def polish(p):
-        p = p.copy()
-        best = float(np.max(np.abs(realized(p) - v_target)))
-        for _ in range(max_iter):
-            if best < 1e-14:
-                break
-            r = realized(p) - v_target
-            jac = np.zeros((L + 1, L + 1))
-            h = 1e-6
-            for k in range(L + 1):
-                up, dn = p.copy(), p.copy()
-                up[k] += h
-                dn[k] -= h
-                jac[:, k] = (realized(up) - realized(dn)) / (2 * h)
-            step, *_ = np.linalg.lstsq(jac.T @ jac + 1e-6 * np.eye(L + 1), -jac.T @ r, rcond=None)
-            scale = 1.0
-            improved = False
-            for _ in range(20):
-                cand = p + scale * step
-                res = float(np.max(np.abs(realized(cand) - v_target)))
-                if res < best:
-                    p, best = cand, res
-                    improved = True
-                    break
-                scale /= 2
-            if not improved:
-                break
-        return p, best
+    def residual(p):
+        return realized(p) - v_target
 
     seeds = [np.concatenate([v_target[L:0:-1] * delta, [v_target[0]]])]
     rng = np.random.default_rng(seed)
@@ -518,7 +489,7 @@ def _fit_univariate(poly: PolynomialSpec, tol: float, max_iter: int, seed: int) 
         seeds.append(np.concatenate([rng.normal(scale=0.3, size=L), [v_target[0]]]))
     best_p, best_res = None, np.inf
     for p0 in seeds:
-        p, res = polish(p0)
+        p, res = _damped_gauss_newton(residual, p0, max_iter, 1e-14)
         if res < best_res:
             best_p, best_res = p, res
         if best_res < 1e-13:
@@ -627,7 +598,7 @@ def _fit_kick_family(poly: PolynomialSpec, tol: float) -> CompiledCircuit:
 
         variables = sorted(set(var_seq))
         nodes = {v: np.array([-0.9, 0.0, 0.9]) for v in variables}
-        channels, shape = _tensor_grid_coeffs(model, var_seq, variables, nodes)
+        channels, shape = _tensor_grid_coeffs(model, variables, nodes)
         target = _target_tensor(poly, variables, shape)
         a = np.stack([c.ravel() for c in channels], axis=1)
         sol, *_ = np.linalg.lstsq(a, target.ravel(), rcond=None)
@@ -666,7 +637,7 @@ def _fit_general(poly: PolynomialSpec, tol: float, max_iter: int, seed: int) -> 
     def residual_vec(p):
         nonlocal target_flat
         model = circuit(p)
-        channels, shape = _tensor_grid_coeffs(model, var_seq, variables, nodes)
+        channels, shape = _tensor_grid_coeffs(model, variables, nodes)
         if target_flat is None:
             target_flat = _target_tensor(poly, variables, shape).ravel()
         a = np.stack([c.ravel() for c in channels], axis=1)
@@ -676,32 +647,7 @@ def _fit_general(poly: PolynomialSpec, tol: float, max_iter: int, seed: int) -> 
     best_p, best_res = None, np.inf
     for trial in range(5):
         p = np.concatenate([rng.normal(scale=0.4, size=L), rng.normal(scale=0.5, size=3), [poly.c0]])
-        res_vec = residual_vec(p)
-        res = float(np.max(np.abs(res_vec)))
-        for _ in range(max_iter):
-            if res < 1e-12:
-                break
-            m = res_vec.size
-            jac = np.zeros((m, L + 4))
-            h = 1e-6
-            for k in range(L + 4):
-                up, dn = p.copy(), p.copy()
-                up[k] += h
-                dn[k] -= h
-                jac[:, k] = (residual_vec(up) - residual_vec(dn)) / (2 * h)
-            step, *_ = np.linalg.lstsq(jac.T @ jac + 1e-6 * np.eye(L + 4), -jac.T @ res_vec, rcond=None)
-            scale, improved = 1.0, False
-            for _ in range(20):
-                cand = p + scale * step
-                cand_vec = residual_vec(cand)
-                cand_res = float(np.max(np.abs(cand_vec)))
-                if cand_res < res:
-                    p, res_vec, res = cand, cand_vec, cand_res
-                    improved = True
-                    break
-                scale /= 2
-            if not improved:
-                break
+        p, res = _damped_gauss_newton(residual_vec, p, max_iter, 1e-12)
         if res < best_res:
             best_p, best_res = p, res
         if best_res < tol:

@@ -83,6 +83,30 @@ def _int_log2(d: int) -> int:
     return n
 
 
+@lru_cache(maxsize=8)
+def swap_permutation(dim_a: int, dim_b: int = 1) -> np.ndarray:
+    """Read-only permutation on (A1 B1 A2 B2) swapping A1 <-> A2.
+
+    With dim_b = 1 it is the full swap of two dim_a-dimensional copies.
+    """
+    d = dim_a * dim_b
+    s = np.eye(d * d).reshape(dim_a, dim_b, dim_a, dim_b, d * d)
+    s = s.transpose(2, 1, 0, 3, 4).reshape(d * d, d * d)
+    s.flags.writeable = False
+    return s
+
+
+def fd_jacobian(fn, p: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference Jacobian of fn at p, shape fn(p).shape + (p.size,)."""
+    cols = []
+    for k in range(p.size):
+        up, dn = p.copy(), p.copy()
+        up[k] += h
+        dn[k] -= h
+        cols.append((fn(up) - fn(dn)) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
 def pauli_word_matrix(letters) -> np.ndarray:
     """Tensor product of single-qubit Paulis given per-qubit letters in 0..3."""
     letters = tuple(int(c) for c in letters)
@@ -148,6 +172,8 @@ class HermitianGenerator:
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if self.coeffs.shape != (m,):
             raise ValueError(f"expected {m} coefficients, got {self.coeffs.shape}")
+        if not np.isfinite(self.coeffs).all():
+            raise ValueError("generator coefficients must be finite")
 
     @property
     def dim(self) -> int:

@@ -5,18 +5,21 @@ dataset samplers / JSONL serialization used by the training pipeline.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import (
     PAULIS,
+    _int_log2,
     index_to_letters,
     kron,
     letters_to_index,
     partial_trace,
     pauli_word_basis,
     pauli_word_matrix,
+    swap_permutation,
 )
 
 STATE_ATOL = 1e-10
@@ -31,13 +34,6 @@ ENTROPY_LABEL_THRESHOLD = 0.3 * np.log(2.0)
 BAND_EDGE = 0.5
 
 DATASET_TASKS = ("purity", "entropy", "band", "double-band", "psi-grid")
-
-
-def _int_log2(d: int) -> int:
-    n = int(d).bit_length() - 1
-    if d <= 0 or (1 << n) != d:
-        raise ValueError(f"dimension {d} is not a power of two")
-    return n
 
 
 @dataclass
@@ -60,7 +56,11 @@ class DensityMatrix:
             self.n_qubits = n
         elif self.n_qubits != n:
             raise ValueError(f"n_qubits {self.n_qubits} does not match dim {self.matrix.shape[0]}")
-        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > STATE_ATOL:
+        # any non-finite entry leaves a NaN or inf in the Hermiticity error
+        herm_err = np.max(np.abs(self.matrix - self.matrix.conj().T))
+        if not math.isfinite(herm_err):
+            raise ValueError("density matrix has non-finite entries")
+        if herm_err > STATE_ATOL:
             raise ValueError("density matrix is not Hermitian within 1e-10")
         if abs(np.trace(self.matrix).real - 1.0) > STATE_ATOL or abs(np.trace(self.matrix).imag) > STATE_ATOL:
             raise ValueError("density matrix does not have unit trace")
@@ -116,7 +116,10 @@ class PauliCoeffs:
         m = 4**self.n_qubits - 1
         if self.lam.shape != (m,):
             raise ValueError(f"expected {m} coefficients, got {self.lam.shape}")
-        if np.max(np.abs(self.lam)) > 1.0 + 1e-9:
+        largest = np.max(np.abs(self.lam))
+        if not math.isfinite(largest):
+            raise ValueError("Pauli coefficients must be finite")
+        if largest > 1.0 + 1e-9:
             raise ValueError("Pauli coefficient exceeds 1 in magnitude")
 
 
@@ -161,23 +164,6 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.trace(rho.matrix @ rho.matrix).real)
 
 
-def _swap_first_factor(dim_a: int, dim_b: int) -> np.ndarray:
-    """Permutation on (A1 B1 A2 B2) swapping A1 <-> A2."""
-    d = dim_a * dim_b
-    s = np.zeros((d * d, d * d))
-    for a1 in range(dim_a):
-        for b1 in range(dim_b):
-            for a2 in range(dim_a):
-                for b2 in range(dim_b):
-                    src = ((a1 * dim_b + b1) * dim_a + a2) * dim_b + b2
-                    dst = ((a2 * dim_b + b1) * dim_a + a1) * dim_b + b2
-                    s[dst, src] = 1.0
-    return s
-
-
-_SWAP_A_2Q = None
-
-
 def renyi2_entropy(rho: DensityMatrix) -> float:
     """Order-2 Renyi entropy of the first qubit of a two-qubit pure state.
 
@@ -185,15 +171,12 @@ def renyi2_entropy(rho: DensityMatrix) -> float:
     the first qubit, and cross-checked against -ln tr(rho_A^2).  Natural log;
     a Bell state gives ln 2.  Mixed or non-two-qubit input is rejected.
     """
-    global _SWAP_A_2Q
     if rho.n_qubits != 2:
         raise ValueError("renyi2_entropy expects a two-qubit state")
     if abs(purity(rho) - 1.0) > 1e-8:
         raise ValueError("renyi2_entropy expects a pure state")
-    if _SWAP_A_2Q is None:
-        _SWAP_A_2Q = _swap_first_factor(2, 2)
     doubled = kron(rho.matrix, rho.matrix)
-    val = np.trace(doubled @ _SWAP_A_2Q).real
+    val = np.trace(doubled @ swap_permutation(2, 2)).real
     rho_a = partial_trace(rho.matrix, 2, 2, keep="A")
     direct = np.trace(rho_a @ rho_a).real
     if abs(val - direct) > 1e-10:
@@ -287,7 +270,7 @@ def read_dataset(path) -> list:
                 rec = json.loads(line)
                 state = DensityMatrix(_matrix_from_json(rec["matrix"]), int(rec["n"]))
                 item = LabeledState(state, float(rec["label"]), dict(rec.get("meta", {})))
-            except (KeyError, ValueError, json.JSONDecodeError) as exc:
+            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc}") from exc
             out.append(item)
     return out

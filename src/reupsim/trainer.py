@@ -18,15 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianGenerator, pauli_word_basis
+from .linalg import HermitianGenerator, fd_jacobian, pauli_word_basis
 from .channel import (
     CouplingSpec,
     LayerSpec,
     ReuploadModel,
+    affine_chain,
+    initial_bloch,
     layer_transfer_tensor,
     model_from_json,
     model_to_json,
     run_model,
+    sample_shots,
 )
 from .states import pauli_coeffs
 
@@ -88,12 +91,6 @@ class TrainReport:
     histogram: list
 
 
-def _initial_bloch(model: ReuploadModel) -> np.ndarray:
-    if model.initial_signal == "plus":
-        return np.array([1.0, 0.0, 0.0])
-    return np.array([0.0, 0.0, 1.0])
-
-
 def _lam_ext(dataset, n_qubits: int) -> np.ndarray:
     """Stacked (1, lam) rows for every uploaded state, shape (N, 4**n)."""
     out = np.ones((len(dataset), 4**n_qubits))
@@ -110,25 +107,12 @@ def _labels(dataset) -> np.ndarray:
     return np.array([item.label for item in dataset], dtype=float)
 
 
-def _layer_maps(layer: LayerSpec, n_qubits: int, lam_ext: np.ndarray):
-    """Per-sample affine action (m, d) of one layer, shapes (N,3,3), (N,3)."""
-    t = layer_transfer_tensor(layer, n_qubits)
-    v = np.einsum("ija,na->nij", t, lam_ext)
-    return v[:, :, 1:], v[:, :, 0]
-
-
 def _forward_states(model: ReuploadModel, lam: np.ndarray):
     """Per-layer linear parts (N, 3, 3) and the Bloch vectors entering each
-    layer, followed by the final ones.
+    layer, followed by the final ones (see affine_chain).
     """
-    r = np.broadcast_to(_initial_bloch(model), (lam.shape[0], 3))
-    maps, states = [], [r]
-    for layer in model.layers:
-        m, d = _layer_maps(layer, model.n_qubits, lam)
-        maps.append(m)
-        r = np.einsum("nij,nj->ni", m, r) + d
-        states.append(r)
-    return maps, states
+    tensors = [layer_transfer_tensor(layer, model.n_qubits) for layer in model.layers]
+    return affine_chain(tensors, lam, initial_bloch(model.initial_signal))
 
 
 def _forward(model: ReuploadModel, lam_ext: np.ndarray) -> np.ndarray:
@@ -138,10 +122,7 @@ def _forward(model: ReuploadModel, lam_ext: np.ndarray) -> np.ndarray:
 def _readout(r: np.ndarray, w: np.ndarray, b: float, shots: int, rng) -> np.ndarray:
     if shots == 0:
         return r @ w + b
-    per_axis = shots // 3
-    p = np.clip((1.0 + r) / 2.0, 0.0, 1.0)
-    est = 2.0 * rng.binomial(per_axis, p) / per_axis - 1.0
-    return est @ w + b
+    return sample_shots(r, shots // 3, rng) @ w + b
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -162,7 +143,9 @@ def _loss_terms(f: np.ndarray, y: np.ndarray, config: TrainConfig):
     p = _sigmoid(z)
     tiny = 1e-12
     loss = -float(np.mean(y * np.log(p + tiny) + (1.0 - y) * np.log(1.0 - p + tiny)))
-    return loss, config.logistic_scale * (p - y) / f.size
+    # exact derivative of the guarded loss, so it matches gradient_fd of it
+    dldp = y / (p + tiny) - (1.0 - y) / (1.0 - p + tiny)
+    return loss, -config.logistic_scale * p * (1.0 - p) * dldp / f.size
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +230,6 @@ def gradient_fd(model: ReuploadModel, batch, config: TrainConfig = None) -> np.n
     lam = _lam_ext(batch, model.n_qubits)
     y = _labels(batch)
     p0 = pack_params(model)
-    h = config.fd_step
 
     def loss_at(p: np.ndarray) -> float:
         m = unpack_params(model, p)
@@ -255,14 +237,7 @@ def gradient_fd(model: ReuploadModel, batch, config: TrainConfig = None) -> np.n
         f = _readout(_forward(m, lam), m.readout_w, m.readout_b, config.shots, rng)
         return _loss_terms(f, y, config)[0]
 
-    g = np.zeros(p0.size)
-    for k in range(p0.size):
-        up = p0.copy()
-        dn = p0.copy()
-        up[k] += h
-        dn[k] -= h
-        g[k] = (loss_at(up) - loss_at(dn)) / (2.0 * h)
-    return g
+    return fd_jacobian(loss_at, p0, config.fd_step)
 
 
 def _local_readout(layer, n_qubits, lam, r_prev, u_suffix):
@@ -272,8 +247,7 @@ def _local_readout(layer, n_qubits, lam, r_prev, u_suffix):
     layers; constants shared by both shift evaluations cancel in the
     difference, so they are omitted here.
     """
-    m, d = _layer_maps(layer, n_qubits, lam)
-    out = np.einsum("nij,nj->ni", m, r_prev) + d
+    out = affine_chain([layer_transfer_tensor(layer, n_qubits)], lam, r_prev)[1][-1]
     return np.einsum("ni,ni->n", u_suffix, out)
 
 

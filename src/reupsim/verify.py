@@ -15,13 +15,22 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import PAULIS, exp_i_hermitian, haar_unitary, kron
+from .linalg import PAULIS, UNITARY_ATOL, exp_i_hermitian, haar_unitary, kron, swap_permutation
 from .states import DensityMatrix, PauliWord, bloch_vector, pauli_matrix, purity, sample_bloch_ball
-from .channel import CouplingSpec, LayerSpec, apply_layer, rz_bloch
+from .channel import CouplingSpec, LayerSpec, apply_layer, rz_bloch, sample_shots
 
 CORR_IMAG_ATOL = 1e-10
 DECOMP_ATOL = 1e-10
 KRAUS_ATOL = 1e-12
+
+# pass threshold of each registered check on its worst trial
+CHECK_TOLERANCES = {
+    "evolution-formula": 1e-10,
+    "observation1": 1e-9,
+    "purity-observable": 1e-9,
+    "ksigma": 1e-9,
+    "swap-test": 1e-10,
+}
 
 
 @dataclass
@@ -70,13 +79,9 @@ def _require_unitary(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"{name} must be 4x4, got {m.shape}")
-    if np.max(np.abs(m @ m.conj().T - np.eye(4))) > 1e-10:
+    if np.max(np.abs(m @ m.conj().T - np.eye(4))) > UNITARY_ATOL:
         raise ValueError(f"{name} is not unitary")
     return m
-
-
-def _swap_operator(d: int) -> np.ndarray:
-    return np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
 
 
 def swap_test_purity(rho: DensityMatrix, shots: int = 0, seed: int = 0) -> float:
@@ -86,7 +91,7 @@ def swap_test_purity(rho: DensityMatrix, shots: int = 0, seed: int = 0) -> float
     tr(rho^2); shots > 0 replaces the exact value with a binomial estimate.
     """
     d = rho.matrix.shape[0]
-    swap = _swap_operator(d)
+    swap = swap_permutation(d)
     cswap = np.block([
         [np.eye(d * d), np.zeros((d * d, d * d))],
         [np.zeros((d * d, d * d)), swap],
@@ -99,9 +104,7 @@ def swap_test_purity(rho: DensityMatrix, shots: int = 0, seed: int = 0) -> float
     value = float(np.trace(final @ z_anc).real)
     if shots == 0:
         return value
-    rng = np.random.default_rng(seed)
-    p0 = np.clip((1.0 + value) / 2.0, 0.0, 1.0)
-    return 2.0 * rng.binomial(shots, p0) / shots - 1.0
+    return float(sample_shots(value, shots, np.random.default_rng(seed)))
 
 
 def observation1_certificate(u: np.ndarray, v: np.ndarray, o: np.ndarray):
@@ -159,7 +162,7 @@ def purity_observable(params: PurityObservableParams) -> np.ndarray:
         m[a - 1, b - 1] = 1.0
         return m
 
-    o = _swap_operator(2).astype(complex)
+    o = swap_permutation(2).astype(complex)
     o += c1 * 1j * (unit(2, 3) - unit(3, 2))
     o += c2 * (unit(2, 2) - unit(3, 3))
     o += (c3 + c4 * 1j) * (unit(1, 2) - unit(1, 3))
@@ -228,6 +231,11 @@ def _random_hermitian2(rng) -> np.ndarray:
     return (g + g.conj().T) / 2
 
 
+def _report(name: str, trials: int, worst: float) -> dict:
+    return {"check_name": name, "trials": trials, "max_violation": float(worst),
+            "pass": bool(worst <= CHECK_TOLERANCES[name])}
+
+
 def evolution_formula_check(trials: int = 200, seed: int = 0) -> dict:
     """Single layer with a Pauli-word coupling: the rotated signal keeps its
     x component and has y, z scaled by the uploaded state's coefficient.
@@ -247,8 +255,7 @@ def evolution_formula_check(trials: int = 200, seed: int = 0) -> dict:
         tilted = rz_bloch(theta) @ bloch_vector(tau)
         want = np.array([tilted[0], lam * tilted[1], lam * tilted[2]])
         worst = max(worst, float(np.max(np.abs(out - want))))
-    return {"check_name": "evolution-formula", "trials": trials,
-            "max_violation": float(worst), "pass": bool(worst <= 1e-10)}
+    return _report("evolution-formula", trials, worst)
 
 
 def observation1_check(trials: int = 1000, seed: int = 0) -> dict:
@@ -261,8 +268,7 @@ def observation1_check(trials: int = 1000, seed: int = 0) -> dict:
         o = _random_hermitian2(rng)
         _, det = observation1_certificate(u, v, o)
         worst = max(worst, abs(det))
-    return {"check_name": "observation1", "trials": trials,
-            "max_violation": float(worst), "pass": bool(worst <= 1e-9)}
+    return _report("observation1", trials, worst)
 
 
 def purity_observable_check(trials: int = 200, seed: int = 0) -> dict:
@@ -276,8 +282,7 @@ def purity_observable_check(trials: int = 200, seed: int = 0) -> dict:
         worst = max(worst, abs(det - closed))
         if det < 1.0 - 1e-10:
             worst = max(worst, 1.0 - det)
-    return {"check_name": "purity-observable", "trials": trials,
-            "max_violation": float(worst), "pass": bool(worst <= 1e-9)}
+    return _report("purity-observable", trials, worst)
 
 
 def ksigma_check(trials: int = 200, seed: int = 0) -> dict:
@@ -292,8 +297,7 @@ def ksigma_check(trials: int = 200, seed: int = 0) -> dict:
             rng.uniform(-1.0, 1.0) * ksigma_corr(k, i).entries for i in (1, 2, 3)
         )
         worst = max(worst, abs(np.linalg.det(combo)))
-    return {"check_name": "ksigma", "trials": trials,
-            "max_violation": float(worst), "pass": bool(worst <= 1e-9)}
+    return _report("ksigma", trials, worst)
 
 
 def swap_test_check(trials: int = 100, seed: int = 0) -> dict:
@@ -303,8 +307,7 @@ def swap_test_check(trials: int = 100, seed: int = 0) -> dict:
         n = int(rng.integers(1, 3))
         rho = _random_density(n, rng)
         worst = max(worst, abs(swap_test_purity(rho) - purity(rho)))
-    return {"check_name": "swap-test", "trials": trials,
-            "max_violation": float(worst), "pass": bool(worst <= 1e-10)}
+    return _report("swap-test", trials, worst)
 
 
 CHECKS = {

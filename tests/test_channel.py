@@ -13,6 +13,7 @@ from reupsim.linalg import (
 )
 from reupsim.states import (
     DensityMatrix,
+    PauliCoeffs,
     PauliWord,
     bloch_vector,
     density_from_bloch,
@@ -326,3 +327,24 @@ def test_model_json_rejects_unknown_variant_by_name():
 def test_affine_map_validation():
     with pytest.raises(ValueError):
         AffineBlochMap(np.eye(2), np.zeros(3))
+
+
+def _cnot_model(theta=0.0, w=(1.0, 0.0, 0.0), b=0.0) -> ReuploadModel:
+    return ReuploadModel(1, [LayerSpec(theta, CouplingSpec.cnot())], np.array(w), b)
+
+
+NON_FINITE_INPUTS = {
+    "density-matrix": lambda x: DensityMatrix(np.full((2, 2), x, dtype=complex)),
+    "pauli-coeffs": lambda x: PauliCoeffs(1, np.full(3, x)),
+    "generator": lambda x: HermitianGenerator(2, np.full(15, x)),
+    "readout-w": lambda x: _cnot_model(w=(x, 0.0, 0.0)),
+    "readout-b": lambda x: _cnot_model(b=x),
+    "theta": lambda x: _cnot_model(theta=x),
+}
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("make", NON_FINITE_INPUTS.values(), ids=NON_FINITE_INPUTS.keys())
+def test_constructors_reject_non_finite(make, x):
+    with pytest.raises(ValueError, match="finite"):
+        make(x)

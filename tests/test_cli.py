@@ -68,12 +68,15 @@ class TestTrain:
              "--test-size", 2, "--seed", 0, "--out", ds])
         path = ds / "train.jsonl"
         lines = path.read_text().splitlines()
-        lines[1] = '{"n": 1, "label": 1.0}'
-        path.write_text("\n".join(lines) + "\n")
-        code = run(["train", "--dataset", ds, "--layers", 1, "--epochs", 1,
-                    "--out", tmp_path / "out"])
-        assert code == 2
-        assert "line 2" in capsys.readouterr().err
+        # a missing field, and a field of the wrong type
+        wrong_type = json.dumps({**json.loads(lines[1]), "matrix": 5})
+        for bad in ('{"n": 1, "label": 1.0}', wrong_type):
+            lines[1] = bad
+            path.write_text("\n".join(lines) + "\n")
+            code = run(["train", "--dataset", ds, "--layers", 1, "--epochs", 1,
+                        "--out", tmp_path / "out"])
+            assert code == 2
+            assert "line 2" in capsys.readouterr().err
 
     def test_missing_dataset(self, tmp_path, capsys):
         code = run(["train", "--dataset", tmp_path / "nope", "--out", tmp_path / "out"])

@@ -176,11 +176,18 @@ def test_dataset_jsonl_roundtrip(tmp_path):
 
 def test_read_dataset_reports_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"n": 1, "matrix": [[[1.0, 0.0], [0.0, 0.0]], '
-                    '[[0.0, 0.0], [0.0, 0.0]]], "label": 0.0, "meta": {}}\n'
-                    "not json\n")
-    with pytest.raises(ValueError, match="line 2"):
-        read_dataset(path)
+    good = ('{"n": 1, "matrix": [[[1.0, 0.0], [0.0, 0.0]], '
+            '[[0.0, 0.0], [0.0, 0.0]]], "label": 0.0, "meta": {}}')
+    bad_lines = [
+        "not json",
+        '{"n": 1, "matrix": 5, "label": 0.0, "meta": {}}',
+        good.replace('"label": 0.0', '"label": null'),
+        good.replace('"meta": {}', '"meta": [1, 2]'),
+    ]
+    for bad in bad_lines:
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(ValueError, match="line 2"):
+            read_dataset(path)
 
 
 def test_generate_dataset_labels_rederivable():

@@ -185,6 +185,14 @@ class TestGradientFD:
                                                rtol=0, atol=1e-6,
                                                err_msg=f"n={n_qubits} L={n_layers} {loss}")
 
+    def test_engine_saturated_logistic(self):
+        # some outputs sit near p = 1e-6, where the loss's 1e-12 guard shows
+        dataset, _ = generate_dataset("purity", 10, 2, seed=3)
+        model = random_model(1, 1, seed=5)
+        cfg = TrainConfig(loss="logistic")
+        _, g_engine = _loss_gradient(model, _lam_ext(dataset, 1), _labels(dataset), cfg)
+        np.testing.assert_allclose(g_engine, gradient_fd(model, dataset, cfg), rtol=0, atol=1e-6)
+
     @pytest.mark.parametrize("loss", ["mse", "logistic"])
     @pytest.mark.parametrize("freeze", [False, True])
     def test_engine_mixed_cnot_and_general(self, loss, freeze):
