@@ -7,156 +7,9 @@ the readout is a polynomial in the Pauli coefficients of the uploaded state.
 The package simulates these circuits exactly, compiles target polynomials
 into circuit parameters, trains the circuits on labeled quantum datasets and
 numerically certifies the algebraic identities the construction rests on.
+
+The submodules (linalg, states, channel, compiler, trainer, verify, cli)
+are the API; import them directly.
 """
-
-from .linalg import (
-    PAULIS,
-    HermitianGenerator,
-    exp_i_hermitian,
-    haar_unitary,
-    hermitian_eig,
-    kron,
-    partial_trace,
-    unitary_to_generator,
-)
-from .states import (
-    DensityMatrix,
-    LabeledState,
-    PauliCoeffs,
-    PauliWord,
-    density_from_coeffs,
-    generate_dataset,
-    pauli_coeffs,
-    pauli_matrix,
-    pauli_projectors,
-    psi_t,
-    purity,
-    read_dataset,
-    renyi2_entropy,
-    sample_bloch_ball,
-    sample_haar_pure,
-    write_dataset,
-)
-from .channel import (
-    AffineBlochMap,
-    CouplingSpec,
-    LayerSpec,
-    ReuploadModel,
-    apply_layer,
-    build_coupling,
-    expectation,
-    hadamard_test,
-    layer_affine_map,
-    model_from_json,
-    model_to_json,
-    run_model,
-)
-from .compiler import (
-    CompiledCircuit,
-    CompileError,
-    MonomialSpec,
-    PolynomialSpec,
-    compile_univariate_delta,
-    extract_coefficients,
-    fit_coefficients,
-    jacobian_theta0,
-    polynomial_from_json,
-    polynomial_to_json,
-    schedule_layers,
-)
-from .trainer import (
-    TrainConfig,
-    TrainReport,
-    evaluate,
-    gradient_fd,
-    gradient_param_shift,
-    histogram_to_csv,
-    random_model,
-    report_to_json,
-    train,
-)
-from .verify import (
-    CHECKS,
-    CorrMatrix,
-    PurityObservableParams,
-    corr,
-    evolution_formula_check,
-    ksigma_corr,
-    observation1_certificate,
-    purity_observable,
-    purity_observable_det,
-    run_check,
-    swap_test_purity,
-)
-
-__all__ = [
-    "PAULIS",
-    "HermitianGenerator",
-    "exp_i_hermitian",
-    "haar_unitary",
-    "hermitian_eig",
-    "kron",
-    "partial_trace",
-    "unitary_to_generator",
-    "DensityMatrix",
-    "LabeledState",
-    "PauliCoeffs",
-    "PauliWord",
-    "density_from_coeffs",
-    "generate_dataset",
-    "pauli_coeffs",
-    "pauli_matrix",
-    "pauli_projectors",
-    "psi_t",
-    "purity",
-    "read_dataset",
-    "renyi2_entropy",
-    "sample_bloch_ball",
-    "sample_haar_pure",
-    "write_dataset",
-    "AffineBlochMap",
-    "CouplingSpec",
-    "LayerSpec",
-    "ReuploadModel",
-    "apply_layer",
-    "build_coupling",
-    "expectation",
-    "hadamard_test",
-    "layer_affine_map",
-    "model_from_json",
-    "model_to_json",
-    "run_model",
-    "CompiledCircuit",
-    "CompileError",
-    "MonomialSpec",
-    "PolynomialSpec",
-    "compile_univariate_delta",
-    "extract_coefficients",
-    "fit_coefficients",
-    "jacobian_theta0",
-    "polynomial_from_json",
-    "polynomial_to_json",
-    "schedule_layers",
-    "TrainConfig",
-    "TrainReport",
-    "evaluate",
-    "gradient_fd",
-    "gradient_param_shift",
-    "histogram_to_csv",
-    "random_model",
-    "report_to_json",
-    "train",
-    "CHECKS",
-    "CorrMatrix",
-    "PurityObservableParams",
-    "corr",
-    "evolution_formula_check",
-    "ksigma_corr",
-    "observation1_certificate",
-    "purity_observable",
-    "purity_observable_det",
-    "run_check",
-    "swap_test_purity",
-]
 
 __version__ = "0.1.0"

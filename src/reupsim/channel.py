@@ -19,9 +19,9 @@ import numpy as np
 
 from .linalg import (
     PAULIS,
-    UNITARY_ATOL,
     HermitianGenerator,
     exp_i_hermitian,
+    is_unitary,
     kron,
     partial_trace,
     pauli_word_basis,
@@ -304,7 +304,7 @@ def hadamard_test(rho: DensityMatrix, u: np.ndarray, imag: bool = False,
     d = rho.dim
     if u.shape != (d, d):
         raise ValueError(f"unitary shape {u.shape} does not match state dimension {d}")
-    if np.max(np.abs(u @ u.conj().T - np.eye(d))) > UNITARY_ATOL:
+    if not is_unitary(u):
         raise ValueError("operator is not unitary within 1e-10")
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     eye = np.eye(d)

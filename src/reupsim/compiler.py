@@ -34,6 +34,8 @@ from .channel import (
 )
 
 CHECK_ROW_ATOL = 1e-8
+# central-difference step of jacobian_theta0
+JACOBIAN_FD_STEP = 1e-5
 
 # knob for the diagonal-quadratic construction; the unmatched cross terms it
 # leaves behind scale linearly with this, the readout weights inversely
@@ -158,11 +160,7 @@ def schedule_layers(poly: PolynomialSpec) -> list:
     """
     if poly.schedule_length == 0:
         raise ValueError("constant target has no layers to schedule")
-    out = []
-    for m in poly.monomials:
-        for alpha in sorted(m.exps):
-            out.extend(_coupling_for_variable(alpha, poly.n_qubits) for _ in range(m.exps[alpha]))
-    return out
+    return [_coupling_for_variable(alpha, poly.n_qubits) for alpha in _schedule_variables(poly)]
 
 
 def _schedule_variables(poly: PolynomialSpec) -> list:
@@ -351,7 +349,7 @@ def _extract_univariate(model: ReuploadModel) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Jacobian of the coefficient map at the zero-angle point
 
-def jacobian_theta0(n_layers: int, fd_step: float = 1e-5) -> np.ndarray:
+def jacobian_theta0(n_layers: int) -> np.ndarray:
     """Central-difference Jacobian of the coefficient ladder at theta = 0.
 
     Parameters are ordered (theta_1 .. theta_L, w1, w2, w3, b) around the
@@ -369,7 +367,7 @@ def jacobian_theta0(n_layers: int, fd_step: float = 1e-5) -> np.ndarray:
     def coeffs(p):
         return _planar_coeffs(p[:L], p[L : L + 3], p[L + 3], L + 1)
 
-    return fd_jacobian(coeffs, p0, fd_step)
+    return fd_jacobian(coeffs, p0, JACOBIAN_FD_STEP)
 
 
 # ---------------------------------------------------------------------------
@@ -430,16 +428,29 @@ def _target_tensor(poly: PolynomialSpec, variables, shape) -> np.ndarray:
     return t
 
 
-def _circuit_residual(model, poly, var_seq) -> float:
-    """Sup-norm coefficient error including every cross term."""
+def _coefficient_system(model: ReuploadModel, poly: PolynomialSpec, target=None):
+    """Readout coefficients of model against those of the target polynomial.
+
+    The grid gives each scheduled variable one node more than its degree in
+    the schedule, so it resolves every monomial the circuit can produce.
+    Returns (a, target): a has columns r1, r2, r3, 1, so a @ (w, b) are the
+    readout's coefficients, and target is flattened the same way.  A target
+    from an earlier call for the same poly is passed back unchanged.
+    """
+    var_seq = _schedule_variables(poly)
     variables = sorted(set(var_seq))
-    degs = {v: var_seq.count(v) for v in variables}
-    nodes = {v: np.linspace(-0.9, 0.9, degs[v] + 1) for v in variables}
+    nodes = {v: np.linspace(-0.9, 0.9, var_seq.count(v) + 1) for v in variables}
     channels, shape = _tensor_grid_coeffs(model, variables, nodes)
-    target = _target_tensor(poly, variables, shape)
-    w, b = model.readout_w, model.readout_b
-    realized = w[0] * channels[0] + w[1] * channels[1] + w[2] * channels[2] + b * channels[3]
-    return float(np.max(np.abs(realized - target)))
+    if target is None:
+        target = _target_tensor(poly, variables, shape).ravel()
+    return np.stack([c.ravel() for c in channels], axis=1), target
+
+
+def _circuit_residual(model: ReuploadModel, poly: PolynomialSpec) -> float:
+    """Sup-norm coefficient error including every cross term."""
+    a, target = _coefficient_system(model, poly)
+    wb = np.concatenate([model.readout_w, [model.readout_b]])
+    return float(np.max(np.abs(a @ wb - target)))
 
 
 def _damped_gauss_newton(residual, p: np.ndarray, max_iter: int, stop: float):
@@ -514,8 +525,7 @@ def _fit_single_monomial(poly: PolynomialSpec) -> CompiledCircuit:
     m = poly.monomials[0]
     layers = [LayerSpec(np.pi / 2 if k == 0 else 0.0, c) for k, c in enumerate(couplings)]
     model = ReuploadModel(poly.n_qubits, layers, np.array([0.0, m.coeff, 0.0]), poly.c0)
-    res = _circuit_residual(model, poly, _schedule_variables(poly))
-    return CompiledCircuit(model, [1], residual=res)
+    return CompiledCircuit(model, [1], residual=_circuit_residual(model, poly))
 
 
 def _is_diag_quadratic(poly: PolynomialSpec) -> bool:
@@ -548,8 +558,7 @@ def _fit_two_squares(poly: PolynomialSpec) -> CompiledCircuit:
     s1 = c1 = np.sqrt(0.5)
     w = np.array([-ca / s1, cb / c1, 0.0])
     model = ReuploadModel(poly.n_qubits, layers, w, poly.c0)
-    res = _circuit_residual(model, poly, _schedule_variables(poly))
-    return CompiledCircuit(model, [1, 3], residual=res)
+    return CompiledCircuit(model, [1, 3], residual=_circuit_residual(model, poly))
 
 
 def _fit_kick_family(poly: PolynomialSpec, tol: float) -> CompiledCircuit:
@@ -574,7 +583,6 @@ def _fit_kick_family(poly: PolynomialSpec, tol: float) -> CompiledCircuit:
         alpha = -np.sign(g1) * s1 if s1 > 0 else 0.0
         beta = eps * g2
     couplings = schedule_layers(poly)
-    var_seq = _schedule_variables(poly)
 
     def build(gamma_sign, beta_sign):
         beta_eff = beta_sign * beta
@@ -595,14 +603,9 @@ def _fit_kick_family(poly: PolynomialSpec, tol: float) -> CompiledCircuit:
         layers.append(LayerSpec(0.0, CouplingSpec.general(unitary_to_generator(u5))))
         layers.append(LayerSpec(0.0, couplings[5]))
         model = ReuploadModel(poly.n_qubits, layers, np.zeros(3), 0.0)
-
-        variables = sorted(set(var_seq))
-        nodes = {v: np.array([-0.9, 0.0, 0.9]) for v in variables}
-        channels, shape = _tensor_grid_coeffs(model, variables, nodes)
-        target = _target_tensor(poly, variables, shape)
-        a = np.stack([c.ravel() for c in channels], axis=1)
-        sol, *_ = np.linalg.lstsq(a, target.ravel(), rcond=None)
-        res = float(np.max(np.abs(a @ sol - target.ravel())))
+        a, target = _coefficient_system(model, poly)
+        sol, *_ = np.linalg.lstsq(a, target, rcond=None)
+        res = float(np.max(np.abs(a @ sol - target)))
         model.readout_w = sol[:3]
         model.readout_b = float(sol[3])
         return model, res
@@ -621,10 +624,7 @@ def _fit_general(poly: PolynomialSpec, tol: float, max_iter: int, seed: int) -> 
     """Plain damped Gauss-Newton over all angles and the readout."""
     couplings = schedule_layers(poly)
     var_seq = _schedule_variables(poly)
-    variables = sorted(set(var_seq))
-    degs = {v: var_seq.count(v) for v in variables}
-    nodes = {v: np.linspace(-0.9, 0.9, degs[v] + 1) for v in variables}
-    if int(np.prod([degs[v] + 1 for v in variables])) > 4096:
+    if int(np.prod([var_seq.count(v) + 1 for v in set(var_seq)])) > 4096:
         raise CompileError("target spans too many coefficients to certify")
     L = len(couplings)
 
@@ -632,16 +632,12 @@ def _fit_general(poly: PolynomialSpec, tol: float, max_iter: int, seed: int) -> 
         layers = [LayerSpec(float(th), c) for th, c in zip(p[:L], couplings)]
         return ReuploadModel(poly.n_qubits, layers, p[L : L + 3], float(p[L + 3]))
 
-    target_flat = None
+    target = None
 
     def residual_vec(p):
-        nonlocal target_flat
-        model = circuit(p)
-        channels, shape = _tensor_grid_coeffs(model, variables, nodes)
-        if target_flat is None:
-            target_flat = _target_tensor(poly, variables, shape).ravel()
-        a = np.stack([c.ravel() for c in channels], axis=1)
-        return a @ np.concatenate([p[L : L + 3], [p[L + 3]]]) - target_flat
+        nonlocal target
+        a, target = _coefficient_system(circuit(p), poly, target)
+        return a @ np.concatenate([p[L : L + 3], [p[L + 3]]]) - target
 
     rng = np.random.default_rng(seed)
     best_p, best_res = None, np.inf

@@ -63,6 +63,11 @@ def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= atol)
 
 
+def is_unitary(m: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
+    m = np.asarray(m)
+    return bool(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= atol)
+
+
 def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -217,7 +222,7 @@ def unitary_to_generator(u: np.ndarray) -> HermitianGenerator:
     """
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
-    if np.max(np.abs(u @ u.conj().T - np.eye(d))) > UNITARY_ATOL:
+    if not is_unitary(u):
         raise ValueError("input is not unitary within 1e-10")
     # unitary matrices are normal, so the Schur form is an orthonormal
     # diagonalization; much tighter than a general eig here

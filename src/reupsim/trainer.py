@@ -2,13 +2,15 @@
 
 Forward passes batch the whole dataset through per-layer transfer tensors,
 so one epoch costs a handful of einsums instead of a density-matrix
-simulation per sample.  Gradients are exact: restricted-coupling angles use
-the two-point shift rule, Hermitian generator coefficients one adjoint
-contraction over the samples per layer followed by the analytic derivative
-of exp(iH), and the readout (w, b) is differentiated directly.  A full-batch
-epoch reuses the forward pass of its recorded loss for the gradient.
-Updates are Adam; gradient_fd is the central-difference oracle the tests
-compare against.
+simulation per sample.  Gradients are exact: one adjoint contraction over
+the samples per layer gives the loss derivative with respect to the layer's
+transfer tensor, which is pulled back to a restricted coupling's angle
+through the signal z-rotation and to a General generator's coefficients
+through the analytic derivative of exp(iH); the readout (w, b) is
+differentiated directly.  A full-batch epoch reuses the forward pass of its
+recorded loss, transfer tensors included, for the gradient.  Updates are
+Adam; gradient_fd is the central-difference oracle the tests compare
+against.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ META_KEYS = ("purity", "entropy", "r3", "lambda")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# central-difference step of the gradient_fd oracle; training takes none
+FD_STEP = 1e-6
 
 
 @dataclass
@@ -51,8 +55,7 @@ class TrainConfig:
     three readout axes with shots // 3 repetitions each.  Gradients always
     use exact expectations; shot noise only enters reported losses and
     metrics.  freeze_layers trains the readout (w, b) alone, which makes
-    the mse problem convex.  fd_step is the step of gradient_fd only;
-    training takes no finite-difference step.
+    the mse problem convex.
     """
 
     loss: str = "mse"
@@ -61,7 +64,6 @@ class TrainConfig:
     batch_size: int = 0
     seed: int = 0
     shots: int = 0
-    fd_step: float = 1e-6
     classification_threshold: float = 0.5
     logistic_scale: float = 10.0
     freeze_layers: bool = False
@@ -75,8 +77,6 @@ class TrainConfig:
             raise ValueError("max_epochs must be at least 1")
         if self.batch_size < 0:
             raise ValueError("batch_size must be 0 (full batch) or positive")
-        if not 0 < self.fd_step <= 1e-2:
-            raise ValueError("fd_step must lie in (0, 1e-2]")
         if self.shots != 0 and self.shots < 3:
             raise ValueError("shots must be 0 (exact) or at least 3")
 
@@ -108,15 +108,15 @@ def _labels(dataset) -> np.ndarray:
 
 
 def _forward_states(model: ReuploadModel, lam: np.ndarray):
-    """Per-layer linear parts (N, 3, 3) and the Bloch vectors entering each
-    layer, followed by the final ones (see affine_chain).
+    """Per-layer transfer tensors, their linear parts (N, 3, 3) and the Bloch
+    vectors entering each layer, followed by the final ones (see affine_chain).
     """
     tensors = [layer_transfer_tensor(layer, model.n_qubits) for layer in model.layers]
-    return affine_chain(tensors, lam, initial_bloch(model.initial_signal))
+    return (tensors, *affine_chain(tensors, lam, initial_bloch(model.initial_signal)))
 
 
 def _forward(model: ReuploadModel, lam_ext: np.ndarray) -> np.ndarray:
-    return _forward_states(model, lam_ext)[1][-1]
+    return _forward_states(model, lam_ext)[2][-1]
 
 
 def _readout(r: np.ndarray, w: np.ndarray, b: float, shots: int, rng) -> np.ndarray:
@@ -237,18 +237,7 @@ def gradient_fd(model: ReuploadModel, batch, config: TrainConfig = None) -> np.n
         f = _readout(_forward(m, lam), m.readout_w, m.readout_b, config.shots, rng)
         return _loss_terms(f, y, config)[0]
 
-    return fd_jacobian(loss_at, p0, config.fd_step)
-
-
-def _local_readout(layer, n_qubits, lam, r_prev, u_suffix):
-    """w-projected output when only this layer's map is replaced.
-
-    u_suffix is the readout vector pulled back through the downstream
-    layers; constants shared by both shift evaluations cancel in the
-    difference, so they are omitted here.
-    """
-    out = affine_chain([layer_transfer_tensor(layer, n_qubits)], lam, r_prev)[1][-1]
-    return np.einsum("ni,ni->n", u_suffix, out)
+    return fd_jacobian(loss_at, p0, FD_STEP)
 
 
 def _generator_gradient(layer: LayerSpec, n_qubits: int, g: np.ndarray) -> np.ndarray:
@@ -284,12 +273,14 @@ def _loss_gradient(model: ReuploadModel, lam, y, config: TrainConfig, forward=No
     """Exact-expectation loss gradient in pack_params order.
 
     forward is _forward_states(model, lam) when the caller already has it.
-    Restricted angles use the shift rule, General generators one adjoint
-    contraction over the samples per layer (_generator_gradient).
+    Per layer, one adjoint contraction over the samples gives
+    G[i, j, alpha] = dloss/dt[i, j, alpha] for the layer's transfer tensor t.
+    General generators pull G back through exp(iH) (_generator_gradient).  A
+    restricted angle only rotates the signal's (x, y) before the coupling, so
+    dt/dtheta = t Omega on the j axis with Omega[x, y] = -1, Omega[y, x] = 1.
     """
     n = lam.shape[0]
-    n_qubits = model.n_qubits
-    maps, prefixes = forward if forward is not None else _forward_states(model, lam)
+    tensors, maps, prefixes = forward if forward is not None else _forward_states(model, lam)
     f = prefixes[-1] @ model.readout_w + model.readout_b
     loss, dldf = _loss_terms(f, y, config)
 
@@ -305,21 +296,16 @@ def _loss_gradient(model: ReuploadModel, lam, y, config: TrainConfig, forward=No
         if config.freeze_layers:
             grads.append(np.zeros(_layer_param_count(layer)))
             continue
-        r_prev, u_suf = prefixes[li], suffixes[li]
+        # G[i, j, alpha] = sum_n dldf_n u_n[i] (1, r_prev)_n[j] lam_n[alpha]
+        r_ext = np.concatenate([np.ones((n, 1)), prefixes[li]], axis=1)
+        left = (dldf[:, None] * suffixes[li])[:, :, None] * r_ext[:, None, :]
+        g = (left.reshape(n, 12).T @ lam).reshape(3, -1)
         if layer.coupling.variant == "General":
-            # G[i, j, alpha] = sum_n dldf_n u_n[i] (1, r_prev)_n[j] lam_n[alpha]
-            r_ext = np.concatenate([np.ones((n, 1)), r_prev], axis=1)
-            left = (dldf[:, None] * u_suf)[:, :, None] * r_ext[:, None, :]
-            g = (left.reshape(n, 12).T @ lam).reshape(3, -1)
-            grads.append(_generator_gradient(layer, n_qubits, g))
+            grads.append(_generator_gradient(layer, model.n_qubits, g))
         else:
-            up = LayerSpec(layer.theta + np.pi / 2, layer.coupling)
-            dn = LayerSpec(layer.theta - np.pi / 2, layer.coupling)
-            df = (
-                _local_readout(up, n_qubits, lam, r_prev, u_suf)
-                - _local_readout(dn, n_qubits, lam, r_prev, u_suf)
-            ) / 2.0
-            grads.append(np.array([dldf @ df]))
+            t = tensors[li]
+            g = g.reshape(t.shape)
+            grads.append(np.array([np.sum(g[:, 1] * t[:, 2]) - np.sum(g[:, 2] * t[:, 1])]))
     grads.append(dldf @ prefixes[-1])
     grads.append(np.array([np.sum(dldf)]))
     return loss, np.concatenate(grads)
@@ -354,7 +340,7 @@ def train(model: ReuploadModel, train_set, test_set, config: TrainConfig = None)
     for epoch in range(config.max_epochs + 1):
         current = unpack_params(work, p)
         forward = _forward_states(current, lam)
-        f = _readout(forward[1][-1], current.readout_w, current.readout_b, config.shots, rng)
+        f = _readout(forward[2][-1], current.readout_w, current.readout_b, config.shots, rng)
         history.append(_loss_terms(f, y, config)[0])
         if not np.isfinite(history[-1]):
             raise RuntimeError(f"training loss became non-finite after {epoch} epochs")

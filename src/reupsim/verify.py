@@ -15,7 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import PAULIS, UNITARY_ATOL, exp_i_hermitian, haar_unitary, kron, swap_permutation
+from .linalg import (
+    PAULIS, exp_i_hermitian, haar_unitary, is_hermitian, is_unitary, kron, swap_permutation,
+)
 from .states import DensityMatrix, PauliWord, bloch_vector, pauli_matrix, purity, sample_bloch_ball
 from .channel import CouplingSpec, LayerSpec, apply_layer, rz_bloch, sample_shots
 
@@ -79,7 +81,7 @@ def _require_unitary(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"{name} must be 4x4, got {m.shape}")
-    if np.max(np.abs(m @ m.conj().T - np.eye(4))) > UNITARY_ATOL:
+    if not is_unitary(m):
         raise ValueError(f"{name} is not unitary")
     return m
 
@@ -121,7 +123,7 @@ def observation1_certificate(u: np.ndarray, v: np.ndarray, o: np.ndarray):
     o = np.asarray(o, dtype=complex)
     if o.shape != (2, 2):
         raise ValueError(f"o must be 2x2, got {o.shape}")
-    if np.max(np.abs(o - o.conj().T)) > 1e-10:
+    if not is_hermitian(o, 1e-10):
         raise ValueError("o must be Hermitian")
 
     u4 = u.reshape(2, 2, 2, 2)

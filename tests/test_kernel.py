@@ -1,5 +1,6 @@
-"""Property tests of the batched transfer-tensor kernel and the shared swap
-permutation, against the density-matrix simulation."""
+"""Property tests of the batched transfer-tensor kernel against the
+density-matrix simulation, of the trainer's exact gradient against finite
+differences, and of the shared swap permutation."""
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from reupsim.channel import (
     run_model,
 )
 from reupsim.linalg import HermitianGenerator, kron_all, swap_permutation
-from reupsim.states import DensityMatrix, PauliWord, pauli_coeffs, sample_haar_pure
+from reupsim.states import DensityMatrix, LabeledState, PauliWord, pauli_coeffs, sample_haar_pure
+from reupsim.trainer import TrainConfig, _labels, _lam_ext, _loss_gradient, gradient_fd
 
 
 @st.composite
@@ -77,6 +79,20 @@ def test_affine_chain_equals_density_matrix_path(model, pure, seed):
             np.testing.assert_allclose(maps[depth - 1][k],
                                        layer_affine_map(model.layers[depth - 1], rho).m,
                                        rtol=0, atol=1e-12)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(model=models(), pure=st.lists(st.booleans(), min_size=1, max_size=4),
+       loss=st.sampled_from(("mse", "logistic")), seed=st.integers(0, 2**32 - 1))
+def test_loss_gradient_equals_finite_differences(model, pure, loss, seed):
+    rng = np.random.default_rng(seed)
+    # logistic labels are classes, mse labels any target value
+    labels = rng.integers(0, 2, len(pure)) if loss == "logistic" else rng.normal(size=len(pure))
+    batch = [LabeledState(random_state(model.n_qubits, p, rng), float(y), {})
+             for p, y in zip(pure, labels)]
+    cfg = TrainConfig(loss=loss)
+    _, g = _loss_gradient(model, _lam_ext(batch, model.n_qubits), _labels(batch), cfg)
+    np.testing.assert_allclose(g, gradient_fd(model, batch, cfg), rtol=0, atol=1e-6)
 
 
 @pytest.mark.parametrize("dim_a, dim_b", [(2, 2), (2, 1), (4, 1)])

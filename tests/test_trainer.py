@@ -55,10 +55,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
-            TrainConfig(fd_step=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(fd_step=0.5)
-        with pytest.raises(ValueError):
             TrainConfig(shots=2)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=-1)
