@@ -27,7 +27,7 @@ from .linalg import (
     pauli_word_basis,
     pauli_word_matrix,
 )
-from .states import DensityMatrix, PauliWord, bloch_vector, pauli_coeffs
+from .states import DensityMatrix, PauliWord, bloch_vector, density_from_bloch, pauli_coeffs
 
 COUPLING_VARIANTS = ("CNOT_BtoA", "CU_ij", "CU_alpha", "General")
 
@@ -185,12 +185,6 @@ def layer_unitary(layer: LayerSpec, n_qubits: int) -> np.ndarray:
     return c @ kron(_rz(layer.theta), np.eye(2**n_qubits))
 
 
-def _signal_start(which: str) -> np.ndarray:
-    if which == "plus":
-        return np.full((2, 2), 0.5, dtype=complex)
-    return np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-
-
 def apply_layer(tau: DensityMatrix, rho: DensityMatrix, layer: LayerSpec) -> DensityMatrix:
     """Send the signal state tau through one layer fed with input rho."""
     if tau.n_qubits != 1:
@@ -262,7 +256,7 @@ def run_model(model: ReuploadModel, rho: DensityMatrix):
     """
     if rho.n_qubits != model.n_qubits:
         raise ValueError(f"model expects {model.n_qubits}-qubit inputs")
-    tau = DensityMatrix(_signal_start(model.initial_signal), 1)
+    tau = density_from_bloch(initial_bloch(model.initial_signal))
     for layer in model.layers:
         tau = apply_layer(tau, rho, layer)
     r = bloch_vector(tau)
@@ -276,21 +270,6 @@ def sample_shots(expect, shots: int, rng):
         raise ValueError("shot sampling needs an rng")
     p = np.clip((1.0 + expect) / 2.0, 0.0, 1.0)
     return 2.0 * rng.binomial(shots, p) / shots - 1.0
-
-
-def expectation(tau: DensityMatrix, w, b: float, shots: int = 0, rng=None) -> float:
-    """Readout w . r + b from the signal state, exactly or shot-sampled.
-
-    With shots > 0 each Bloch component is estimated from shots // 3
-    single-shot Pauli measurements.
-    """
-    r = bloch_vector(tau)
-    w = np.asarray(w, dtype=float)
-    if shots:
-        if shots < 3:
-            raise ValueError("need at least 3 shots, one per measured axis")
-        r = sample_shots(r, shots // 3, rng)
-    return float(w @ r + b)
 
 
 def hadamard_test(rho: DensityMatrix, u: np.ndarray, imag: bool = False,

@@ -120,6 +120,9 @@ def cmd_train(args) -> int:
     if not train_set or not test_set:
         raise ValueError(f"{data_dir}: empty dataset")
     n_env = train_set[0].state.n_qubits
+    if test_set[0].state.n_qubits != n_env:
+        raise ValueError(f"{data_dir / 'test.jsonl'}: states have "
+                         f"{test_set[0].state.n_qubits} qubits, train.jsonl has {n_env}")
     model = random_model(n_env, args.layers, seed=args.model_seed, restricted=args.restricted)
     config = TrainConfig(
         loss=args.loss,

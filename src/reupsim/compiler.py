@@ -14,7 +14,6 @@ with large readout weights.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 
@@ -123,27 +122,6 @@ class CompileError(RuntimeError):
         super().__init__(message)
         self.circuit = circuit
         self.residual = None if circuit is None else circuit.residual
-
-
-def polynomial_to_json(poly: PolynomialSpec) -> str:
-    rec = {
-        "n": poly.n_qubits,
-        "c0": poly.c0,
-        "monomials": [
-            {"c": m.coeff, "exps": {str(a): e for a, e in sorted(m.exps.items())}}
-            for m in poly.monomials
-        ],
-    }
-    return json.dumps(rec)
-
-
-def polynomial_from_json(text: str) -> PolynomialSpec:
-    rec = json.loads(text)
-    monomials = [
-        MonomialSpec(m["c"], {int(a): int(e) for a, e in m["exps"].items()})
-        for m in rec["monomials"]
-    ]
-    return PolynomialSpec(int(rec["n"]), float(rec["c0"]), monomials)
 
 
 def _coupling_for_variable(alpha: int, n_qubits: int) -> CouplingSpec:
@@ -372,17 +350,6 @@ def jacobian_theta0(n_layers: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # fitting
-
-def _rot3(axis, angle: float) -> np.ndarray:
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    k = np.array([
-        [0.0, -axis[2], axis[1]],
-        [axis[2], 0.0, -axis[0]],
-        [-axis[1], axis[0], 0.0],
-    ])
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
-
 
 def _su2(axis, angle: float) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)

@@ -68,19 +68,6 @@ def is_unitary(m: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
     return bool(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= atol)
 
 
-def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (vals, vecs) with eigenvalues sorted in descending order and
-    vecs[:, k] the unit eigenvector for vals[k].  Rejects non-Hermitian input.
-    """
-    h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h):
-        raise ValueError("matrix is not Hermitian within 1e-12")
-    vals, vecs = np.linalg.eigh(h)
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
-
-
 def _int_log2(d: int) -> int:
     n = int(d).bit_length() - 1
     if d <= 0 or (1 << n) != d:

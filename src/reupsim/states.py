@@ -18,7 +18,6 @@ from .linalg import (
     letters_to_index,
     partial_trace,
     pauli_word_basis,
-    pauli_word_matrix,
     swap_permutation,
 )
 
@@ -130,34 +129,11 @@ class LabeledState:
     meta: dict = field(default_factory=dict)
 
 
-def pauli_matrix(word: PauliWord) -> np.ndarray:
-    """Dense matrix of a Pauli word."""
-    return pauli_word_matrix(word.letters)
-
-
 def pauli_coeffs(rho: DensityMatrix) -> PauliCoeffs:
     """Expansion coefficients of rho over the non-identity Pauli words."""
     words = pauli_word_basis(rho.n_qubits)
     lam = np.einsum("aij,ji->a", words[1:], rho.matrix).real
     return PauliCoeffs(rho.n_qubits, lam)
-
-
-def density_from_coeffs(coeffs: PauliCoeffs) -> DensityMatrix:
-    """Reassemble rho = (I + sum lam_alpha W_alpha) / 2^n; rejects non-PSD input."""
-    words = pauli_word_basis(coeffs.n_qubits)
-    d = 2**coeffs.n_qubits
-    m = (words[0] + np.einsum("a,aij->ij", coeffs.lam, words[1:])) / d
-    return DensityMatrix(m, coeffs.n_qubits)
-
-
-def pauli_projectors(word: PauliWord) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenprojectors (P_plus, P_minus) = (I +/- W)/2 of a non-identity word."""
-    if word.is_identity:
-        raise ValueError("identity word has no +/-1 eigenspace split")
-    w = pauli_matrix(word)
-    d = w.shape[0]
-    eye = np.eye(d)
-    return (eye + w) / 2, (eye - w) / 2
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -259,7 +235,11 @@ def write_dataset(path, dataset) -> None:
 
 
 def read_dataset(path) -> list:
-    """Read a JSONL dataset, revalidating every state."""
+    """Read a JSONL dataset, revalidating every state.
+
+    Labels must be finite and every state must have the first record's
+    qubit count; errors name the file and line.
+    """
     out = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -270,6 +250,13 @@ def read_dataset(path) -> list:
                 rec = json.loads(line)
                 state = DensityMatrix(_matrix_from_json(rec["matrix"]), int(rec["n"]))
                 item = LabeledState(state, float(rec["label"]), dict(rec.get("meta", {})))
+                if not math.isfinite(item.label):
+                    raise ValueError("label must be finite")
+                if out and state.n_qubits != out[0].state.n_qubits:
+                    raise ValueError(
+                        f"state has {state.n_qubits} qubits, the first record "
+                        f"has {out[0].state.n_qubits}"
+                    )
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc}") from exc
             out.append(item)
@@ -324,8 +311,11 @@ def generate_dataset(task: str, n_train: int, n_test: int, seed: int):
     two-qubit pure states, Renyi-2 threshold), band / double-band (pure
     qubit states, z-component bands) and psi-grid (uniform lambda grid in
     the open interval (-1, 1), label = lambda).  Labels can always be
-    re-derived from the meta fields.
+    re-derived from the meta fields.  Both sizes must be at least 1.
     """
+    for name, size in (("train", n_train), ("test", n_test)):
+        if size < 1:
+            raise ValueError(f"{name} size must be at least 1, got {size}")
     if task == "psi-grid":
         return _psi_grid(n_train), _psi_grid(n_test)
     samplers = {

@@ -43,6 +43,10 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # central-difference step of the gradient_fd oracle; training takes none
 FD_STEP = 1e-6
+# f at or above the threshold predicts class 1; the logistic loss is
+# sigmoid(LOGISTIC_SCALE * (f - CLASSIFICATION_THRESHOLD))
+CLASSIFICATION_THRESHOLD = 0.5
+LOGISTIC_SCALE = 10.0
 
 
 @dataclass
@@ -50,12 +54,11 @@ class TrainConfig:
     """Knobs for train / evaluate.
 
     loss "mse" regresses f onto the labels; "logistic" classifies with the
-    surrogate sigmoid(logistic_scale * (f - classification_threshold)).
+    surrogate sigmoid(LOGISTIC_SCALE * (f - CLASSIFICATION_THRESHOLD)).
     shots = 0 evaluates expectations exactly; a positive count samples the
     three readout axes with shots // 3 repetitions each.  Gradients always
     use exact expectations; shot noise only enters reported losses and
-    metrics.  freeze_layers trains the readout (w, b) alone, which makes
-    the mse problem convex.
+    metrics.
     """
 
     loss: str = "mse"
@@ -64,9 +67,6 @@ class TrainConfig:
     batch_size: int = 0
     seed: int = 0
     shots: int = 0
-    classification_threshold: float = 0.5
-    logistic_scale: float = 10.0
-    freeze_layers: bool = False
 
     def __post_init__(self):
         if self.loss not in ("mse", "logistic"):
@@ -139,23 +139,17 @@ def _loss_terms(f: np.ndarray, y: np.ndarray, config: TrainConfig):
     if config.loss == "mse":
         resid = f - y
         return float(np.mean(resid**2)), 2.0 * resid / f.size
-    z = config.logistic_scale * (f - config.classification_threshold)
+    z = LOGISTIC_SCALE * (f - CLASSIFICATION_THRESHOLD)
     p = _sigmoid(z)
     tiny = 1e-12
     loss = -float(np.mean(y * np.log(p + tiny) + (1.0 - y) * np.log(1.0 - p + tiny)))
     # exact derivative of the guarded loss, so it matches gradient_fd of it
     dldp = y / (p + tiny) - (1.0 - y) / (1.0 - p + tiny)
-    return loss, -config.logistic_scale * p * (1.0 - p) * dldp / f.size
+    return loss, -LOGISTIC_SCALE * p * (1.0 - p) * dldp / f.size
 
 
 # ---------------------------------------------------------------------------
 # parameter vector layout
-
-def _layer_param_count(layer: LayerSpec) -> int:
-    if layer.coupling.variant == "General":
-        return layer.coupling.generator.coeffs.size
-    return 1
-
 
 def pack_params(model: ReuploadModel) -> np.ndarray:
     """Flatten trainable parameters: per layer the angle (restricted) or
@@ -293,9 +287,6 @@ def _loss_gradient(model: ReuploadModel, lam, y, config: TrainConfig, forward=No
 
     grads = []
     for li, layer in enumerate(model.layers):
-        if config.freeze_layers:
-            grads.append(np.zeros(_layer_param_count(layer)))
-            continue
         # G[i, j, alpha] = sum_n dldf_n u_n[i] (1, r_prev)_n[j] lam_n[alpha]
         r_ext = np.concatenate([np.ones((n, 1)), prefixes[li]], axis=1)
         left = (dldf[:, None] * suffixes[li])[:, :, None] * r_ext[:, None, :]
@@ -370,7 +361,7 @@ def evaluate(model: ReuploadModel, dataset, config: TrainConfig = None):
     """Metric plus a 30-bin prediction histogram over the meta scalar.
 
     Returns (accuracy, histogram) under logistic loss and (mse, histogram)
-    under mse loss; predicted class is f >= classification_threshold either
+    under mse loss; predicted class is f >= CLASSIFICATION_THRESHOLD either
     way.  Histogram rows are (bin_low, bin_high, count_class0, count_class1)
     over the first meta key among purity / entropy / r3 / lambda, or an
     empty list when none is present.
@@ -385,12 +376,12 @@ def evaluate(model: ReuploadModel, dataset, config: TrainConfig = None):
     if config.loss == "mse":
         metric = float(np.mean((f - y) ** 2))
     else:
-        pred = (f >= config.classification_threshold).astype(float)
+        pred = (f >= CLASSIFICATION_THRESHOLD).astype(float)
         metric = float(np.mean(pred == y))
-    return metric, prediction_histogram(dataset, f, config)
+    return metric, prediction_histogram(dataset, f)
 
 
-def prediction_histogram(dataset, f: np.ndarray, config: TrainConfig) -> list:
+def prediction_histogram(dataset, f: np.ndarray) -> list:
     key = next((k for k in META_KEYS if k in dataset[0].meta), None)
     if key is None:
         return []
@@ -399,7 +390,7 @@ def prediction_histogram(dataset, f: np.ndarray, config: TrainConfig) -> list:
     if hi <= lo:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, HISTOGRAM_BINS + 1)
-    pred = np.asarray(f) >= config.classification_threshold
+    pred = np.asarray(f) >= CLASSIFICATION_THRESHOLD
     rows = []
     for k in range(HISTOGRAM_BINS):
         if k < HISTOGRAM_BINS - 1:

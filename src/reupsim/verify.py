@@ -16,9 +16,10 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import (
-    PAULIS, exp_i_hermitian, haar_unitary, is_hermitian, is_unitary, kron, swap_permutation,
+    PAULIS, exp_i_hermitian, haar_unitary, is_hermitian, is_unitary, kron, pauli_word_matrix,
+    swap_permutation,
 )
-from .states import DensityMatrix, PauliWord, bloch_vector, pauli_matrix, purity, sample_bloch_ball
+from .states import DensityMatrix, PauliWord, bloch_vector, purity, sample_bloch_ball
 from .channel import CouplingSpec, LayerSpec, apply_layer, rz_bloch, sample_shots
 
 CORR_IMAG_ATOL = 1e-10
@@ -253,7 +254,7 @@ def evolution_formula_check(trials: int = 200, seed: int = 0) -> dict:
         word = PauliWord.from_index(alpha, n)
         layer = LayerSpec(theta, CouplingSpec.cu_alpha(word))
         out = bloch_vector(apply_layer(tau, rho, layer))
-        lam = float(np.trace(rho.matrix @ pauli_matrix(word)).real)
+        lam = float(np.trace(rho.matrix @ pauli_word_matrix(word.letters)).real)
         tilted = rz_bloch(theta) @ bloch_vector(tau)
         want = np.array([tilted[0], lam * tilted[1], lam * tilted[2]])
         worst = max(worst, float(np.max(np.abs(out - want))))
@@ -326,4 +327,6 @@ def run_check(name: str, trials: int = None, seed: int = 0) -> dict:
         raise ValueError(f"unknown check {name!r}; available: {', '.join(sorted(CHECKS))}")
     if trials is None:
         return CHECKS[name](seed=seed)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     return CHECKS[name](trials=trials, seed=seed)

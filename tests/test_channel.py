@@ -29,7 +29,6 @@ from reupsim.channel import (
     ReuploadModel,
     apply_layer,
     build_coupling,
-    expectation,
     hadamard_test,
     layer_affine_map,
     layer_transfer_tensor,
@@ -259,21 +258,6 @@ def test_deferred_measurement_equivalence():
     out = m2 @ m1 @ joint @ m1.conj().T @ m2.conj().T
     direct = partial_trace(out, 2, 4, keep="A")
     assert np.max(np.abs(direct - seq.matrix)) < 1e-10
-
-
-def test_expectation_exact_and_sampled():
-    tau = density_from_bloch([0.6, 0.0, -0.2])
-    w = np.array([1.0, 2.0, -1.0])
-    exact = expectation(tau, w, 0.5)
-    assert abs(exact - (0.6 - (-0.2) + 0.5)) < 1e-12
-    rng = np.random.default_rng(9)
-    est = expectation(tau, w, 0.5, shots=300_000, rng=rng)
-    assert abs(est - exact) < 0.03
-    same = expectation(tau, w, 0.5, shots=999, rng=np.random.default_rng(1))
-    again = expectation(tau, w, 0.5, shots=999, rng=np.random.default_rng(1))
-    assert same == again
-    with pytest.raises(ValueError):
-        expectation(tau, w, 0.5, shots=2, rng=rng)
 
 
 def test_hadamard_test_real_and_imag():

@@ -38,6 +38,15 @@ class TestGenDataset:
         assert lam.min() > -1 and lam.max() < 1
         np.testing.assert_allclose(np.diff(lam), lam[1] - lam[0], atol=1e-12)
 
+    def test_empty_size_rejected_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        for task, train_size, test_size in (("band", 0, 2), ("psi-grid", 4, 0)):
+            code = run(["gen-dataset", "--task", task, "--train-size", train_size,
+                        "--test-size", test_size, "--out", out])
+            assert code == 2
+            assert "size must be at least 1, got 0" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_unwritable_path(self, tmp_path, capsys):
         blocker = tmp_path / "file.txt"
         blocker.write_text("x")
@@ -78,6 +87,33 @@ class TestTrain:
             assert code == 2
             assert "line 2" in capsys.readouterr().err
 
+    def test_non_finite_label_is_usage_error(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(["gen-dataset", "--task", "band", "--train-size", 3,
+             "--test-size", 2, "--seed", 0, "--out", ds])
+        path = ds / "train.jsonl"
+        lines = path.read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), "label": float("nan")})
+        path.write_text("\n".join(lines) + "\n")
+        code = run(["train", "--dataset", ds, "--layers", 1, "--epochs", 1,
+                    "--out", tmp_path / "out"])
+        assert code == 2
+        assert f"{path}: line 3: label must be finite" in capsys.readouterr().err
+
+    def test_test_set_qubit_count_must_match(self, tmp_path, capsys):
+        ds, other = tmp_path / "ds", tmp_path / "other"
+        run(["gen-dataset", "--task", "band", "--train-size", 3,
+             "--test-size", 2, "--seed", 0, "--out", ds])
+        run(["gen-dataset", "--task", "entropy", "--train-size", 3,
+             "--test-size", 2, "--seed", 0, "--out", other])
+        (ds / "test.jsonl").write_text((other / "test.jsonl").read_text())
+        code = run(["train", "--dataset", ds, "--layers", 1, "--epochs", 1,
+                    "--out", tmp_path / "out"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{ds / 'test.jsonl'}: states have 2 qubits, train.jsonl has 1" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_dataset(self, tmp_path, capsys):
         code = run(["train", "--dataset", tmp_path / "nope", "--out", tmp_path / "out"])
         assert code == 2
@@ -98,6 +134,14 @@ class TestVerify:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 5
         assert all("PASS" in line for line in lines)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_non_positive_trials_is_usage_error(self, capsys, trials):
+        for check in (["--check", "swap-test"], []):
+            assert run(["verify", *check, "--trials", trials]) == 2
+            captured = capsys.readouterr()
+            assert f"trials must be at least 1, got {trials}" in captured.err
+            assert "PASS" not in captured.out
 
     def test_unknown_check_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,8 +11,6 @@ from reupsim.compiler import (
     extract_coefficients,
     fit_coefficients,
     jacobian_theta0,
-    polynomial_from_json,
-    polynomial_to_json,
     schedule_layers,
 )
 from reupsim.states import density_from_bloch, psi_t
@@ -65,20 +63,6 @@ class TestSpecs:
         assert p.variables == (1, 3)
         assert p.schedule_length == 3
         assert p.evaluate([0.2, 0.0, 0.4]) == pytest.approx(0.1 + 0.16 - 0.2)
-
-    def test_json_round_trip(self):
-        p = quartic_spec()
-        q = polynomial_from_json(polynomial_to_json(p))
-        assert q.n_qubits == p.n_qubits
-        assert q.c0 == p.c0
-        assert [(m.coeff, m.exps) for m in q.monomials] == [
-            (m.coeff, m.exps) for m in p.monomials
-        ]
-
-    def test_json_multivariate(self):
-        p = PolynomialSpec(2, -0.5, [MonomialSpec(0.3, {5: 2, 11: 1})])
-        q = polynomial_from_json(polynomial_to_json(p))
-        assert q.monomials[0].exps == {5: 2, 11: 1}
 
 
 class TestSchedule:

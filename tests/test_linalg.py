@@ -6,7 +6,6 @@ from reupsim.linalg import (
     HermitianGenerator,
     exp_i_hermitian,
     haar_unitary,
-    hermitian_eig,
     index_to_letters,
     kron,
     letters_to_index,
@@ -72,21 +71,6 @@ def test_partial_trace_rejects_bad_shape():
         partial_trace(np.eye(6), 2, 4)
     with pytest.raises(ValueError):
         partial_trace(np.eye(8), 2, 4, keep="C")
-
-
-def test_hermitian_eig_descending_and_reconstructs():
-    h = random_hermitian(8, np.random.default_rng(3))
-    vals, vecs = hermitian_eig(h)
-    assert np.all(np.diff(vals) <= 1e-12)
-    assert np.max(np.abs(vecs @ vecs.conj().T - np.eye(8))) < 1e-10
-    assert np.max(np.abs((vecs * vals) @ vecs.conj().T - h)) < 1e-10
-    assert abs(vals.sum() - np.trace(h).real) < 1e-10
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        hermitian_eig(m)
 
 
 def test_exp_i_hermitian_known_values():

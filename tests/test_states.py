@@ -1,20 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 
+from reupsim.linalg import pauli_word_basis, pauli_word_matrix
 from reupsim.states import (
     ENTROPY_LABEL_THRESHOLD,
     PURITY_LABEL_THRESHOLD,
     DensityMatrix,
     LabeledState,
-    PauliCoeffs,
     PauliWord,
     bloch_vector,
     density_from_bloch,
-    density_from_coeffs,
     generate_dataset,
     pauli_coeffs,
-    pauli_matrix,
-    pauli_projectors,
     psi_t,
     purity,
     read_dataset,
@@ -51,7 +50,7 @@ def test_pauli_word_index_and_validation():
 
 
 def test_pauli_matrix_example():
-    zz = pauli_matrix(PauliWord((3, 3)))
+    zz = pauli_word_matrix(PauliWord((3, 3)).letters)
     assert np.array_equal(zz, np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex))
 
 
@@ -62,31 +61,15 @@ def test_pauli_coeffs_roundtrip():
         c = pauli_coeffs(rho)
         assert c.lam.shape == (15,)
         assert np.max(np.abs(c.lam)) <= 1 + 1e-12
-        back = density_from_coeffs(c)
-        assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-10
+        words = pauli_word_basis(2)
+        back = (words[0] + np.einsum("a,aij->ij", c.lam, words[1:])) / 4
+        assert np.max(np.abs(back - rho.matrix)) < 1e-10
 
 
 def test_pauli_coeffs_known_state():
     # |0><0| has lam = (0, 0, 1)
     c = pauli_coeffs(DensityMatrix(np.diag([1.0, 0.0])))
     assert np.allclose(c.lam, [0.0, 0.0, 1.0], atol=1e-14)
-
-
-def test_density_from_coeffs_rejects_unphysical():
-    with pytest.raises(ValueError):
-        # lam with norm > 1 is outside the Bloch ball
-        density_from_coeffs(PauliCoeffs(1, np.array([0.9, 0.9, 0.9])))
-
-
-def test_pauli_projectors():
-    p, m = pauli_projectors(PauliWord((3, 3)))
-    w = pauli_matrix(PauliWord((3, 3)))
-    assert np.max(np.abs(p + m - np.eye(4))) < 1e-14
-    assert np.max(np.abs(p - m - w)) < 1e-14
-    assert np.max(np.abs(p @ p - p)) < 1e-14
-    assert abs(np.trace(p).real - 2.0) < 1e-14  # rank d/2
-    with pytest.raises(ValueError):
-        pauli_projectors(PauliWord((0, 0)))
 
 
 def test_purity_range():
@@ -158,36 +141,69 @@ def test_density_from_bloch_roundtrip():
 
 
 def test_dataset_jsonl_roundtrip(tmp_path):
+    # one file per qubit count: read_dataset rejects a file that mixes them
     rng = np.random.default_rng(5)
-    data = [
-        LabeledState(sample_haar_pure(2, rng), 1.0, {"entropy": 0.25}),
-        LabeledState(sample_bloch_ball(rng), 0.0, {"purity": 0.7}),
-    ]
-    path = tmp_path / "data.jsonl"
-    write_dataset(path, data)
-    back = read_dataset(path)
-    assert len(back) == 2
-    for a, b in zip(data, back):
-        assert a.state.n_qubits == b.state.n_qubits
-        assert np.max(np.abs(a.state.matrix - b.state.matrix)) < 1e-15
-        assert a.label == b.label
-        assert a.meta == b.meta
+    for data in (
+        [LabeledState(sample_haar_pure(2, rng), 1.0, {"entropy": 0.25}),
+         LabeledState(sample_haar_pure(2, rng), 0.0, {"entropy": 0.1})],
+        [LabeledState(sample_bloch_ball(rng), 0.0, {"purity": 0.7}),
+         LabeledState(sample_bloch_ball(rng), 1.0, {"purity": 0.9})],
+    ):
+        path = tmp_path / "data.jsonl"
+        write_dataset(path, data)
+        back = read_dataset(path)
+        assert len(back) == 2
+        for a, b in zip(data, back):
+            assert a.state.n_qubits == b.state.n_qubits
+            assert np.max(np.abs(a.state.matrix - b.state.matrix)) < 1e-15
+            assert a.label == b.label
+            assert a.meta == b.meta
+
+
+GOOD_RECORD = ('{"n": 1, "matrix": [[[1.0, 0.0], [0.0, 0.0]], '
+               '[[0.0, 0.0], [0.0, 0.0]]], "label": 0.0, "meta": {}}')
+
+
+def _two_qubit_record() -> str:
+    m = np.zeros((4, 4))
+    m[0, 0] = 1.0
+    return json.dumps({"n": 2, "matrix": [[[x, 0.0] for x in row] for row in m.tolist()],
+                       "label": 1.0, "meta": {}})
 
 
 def test_read_dataset_reports_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
-    good = ('{"n": 1, "matrix": [[[1.0, 0.0], [0.0, 0.0]], '
-            '[[0.0, 0.0], [0.0, 0.0]]], "label": 0.0, "meta": {}}')
+    good = GOOD_RECORD
     bad_lines = [
         "not json",
         '{"n": 1, "matrix": 5, "label": 0.0, "meta": {}}',
         good.replace('"label": 0.0', '"label": null'),
         good.replace('"meta": {}', '"meta": [1, 2]'),
+        good.replace('"label": 0.0', '"label": NaN'),
+        good.replace('"label": 0.0', '"label": Infinity'),
     ]
     for bad in bad_lines:
         path.write_text(good + "\n" + bad + "\n")
         with pytest.raises(ValueError, match="line 2"):
             read_dataset(path)
+
+
+def test_read_dataset_rejects_mixed_qubit_counts(tmp_path):
+    path = tmp_path / "mixed.jsonl"
+    path.write_text(GOOD_RECORD + "\n" + GOOD_RECORD + "\n" + _two_qubit_record() + "\n")
+    with pytest.raises(ValueError, match=r"mixed\.jsonl: line 3: state has 2 qubits"):
+        read_dataset(path)
+    # a file of two-qubit states alone is fine
+    path.write_text(_two_qubit_record() + "\n")
+    assert read_dataset(path)[0].state.n_qubits == 2
+
+
+@pytest.mark.parametrize("task", ["band", "psi-grid"])
+def test_generate_dataset_rejects_empty_sizes(task):
+    for sizes in ((0, 5), (5, 0), (-2, 5)):
+        bad = min(sizes)
+        with pytest.raises(ValueError, match=f"size must be at least 1, got {bad}"):
+            generate_dataset(task, *sizes, seed=0)
 
 
 def test_generate_dataset_labels_rederivable():

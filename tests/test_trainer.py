@@ -190,8 +190,7 @@ class TestGradientFD:
         np.testing.assert_allclose(g_engine, gradient_fd(model, dataset, cfg), rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("loss", ["mse", "logistic"])
-    @pytest.mark.parametrize("freeze", [False, True])
-    def test_engine_mixed_cnot_and_general(self, loss, freeze):
+    def test_engine_mixed_cnot_and_general(self, loss):
         rng = np.random.default_rng(12)
 
         def general(theta: float) -> LayerSpec:
@@ -202,13 +201,9 @@ class TestGradientFD:
                   LayerSpec(1.1, CouplingSpec.cnot()), general(0.0)]
         model = ReuploadModel(1, layers, rng.normal(size=3), 0.2)
         dataset, _ = generate_dataset("band", 12, 2, seed=6)
-        cfg = TrainConfig(loss=loss, freeze_layers=freeze)
+        cfg = TrainConfig(loss=loss)
         _, g_engine = _loss_gradient(model, _lam_ext(dataset, 1), _labels(dataset), cfg)
-        g_fd = gradient_fd(model, dataset, cfg)
-        if freeze:
-            assert np.all(g_engine[:-4] == 0.0)
-            g_fd[:-4] = 0.0
-        np.testing.assert_allclose(g_engine, g_fd, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(g_engine, gradient_fd(model, dataset, cfg), rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("n_qubits, word", [(1, None), (1, (3, 3)), (2, None), (2, (3, 3, 0))])
     def test_engine_degenerate_spectra(self, n_qubits, word):
@@ -267,15 +262,6 @@ class TestTrain:
         cfg = TrainConfig(loss="mse", learning_rate=1e200, max_epochs=5, seed=0)
         with pytest.raises(RuntimeError):
             train(random_model(1, 1, seed=0, restricted=True), data, data, cfg)
-
-    def test_readout_only_is_monotone(self):
-        # with layers frozen the mse problem is convex in (w, b)
-        data, test = generate_dataset("purity", 80, 10, seed=8)
-        cfg = TrainConfig(loss="mse", learning_rate=1e-3, max_epochs=120, seed=0,
-                          freeze_layers=True)
-        rep = train(random_model(1, 2, seed=7), data, test, cfg)
-        diffs = np.diff(rep.loss_history)
-        assert np.max(diffs) <= 1e-12
 
     def test_minibatch_path(self):
         data, test = generate_dataset("band", 90, 30, seed=10)
@@ -374,7 +360,7 @@ class TestEvaluate:
         items = [LabeledState(psi_t(0.5), float(x >= 0), {"r3": x})
                  for x in np.linspace(-1, 1, 50)]
         f = np.array([item.label for item in items])
-        hist = prediction_histogram(items, f, TrainConfig())
+        hist = prediction_histogram(items, f)
         for lo, hi, c0, c1 in hist:
             if hi <= 0:
                 assert c1 == 0
