@@ -2,9 +2,10 @@
 
 Each layer rotates the signal about z, couples it unitarily to a fresh copy
 of an n-qubit input state and traces the copy out.  The signal qubit is
-always the first tensor factor.  The induced map on the signal Bloch vector
-is affine; `layer_affine_map` extracts it exactly and `layer_transfer_tensor`
-gives the same data resolved over the Pauli coefficients of the input.
+always the first tensor factor.  Each layer is a CPTP collision map on the
+signal and affine on its Bloch vector; `layer_transfer_tensor` is its Pauli
+transfer (the signal Paulis evolved back through the layer unitary, over the
+Pauli coefficients of the input) and `layer_affine_map` its value at one input.
 `affine_chain` pushes a batch of inputs through a chain of transfer tensors;
 it is the one batched kernel behind training and compilation.
 """
@@ -25,7 +26,6 @@ from .linalg import (
     kron,
     partial_trace,
     pauli_word_basis,
-    pauli_word_matrix,
 )
 from .states import DensityMatrix, PauliWord, bloch_vector, density_from_bloch, pauli_coeffs
 
@@ -161,7 +161,7 @@ def build_coupling(coupling: CouplingSpec, n_qubits: int) -> np.ndarray:
         w = PAULIS[coupling.j]
         sig = PAULIS[coupling.i]
     else:
-        w = pauli_word_matrix(coupling.word.letters)
+        w = pauli_word_basis(n_qubits)[coupling.word.index]
         sig = PAULIS[1]
     eye = np.eye(d)
     return kron(PAULIS[0], (eye + w) / 2) + kron(sig, (eye - w) / 2)
@@ -198,19 +198,18 @@ def apply_layer(tau: DensityMatrix, rho: DensityMatrix, layer: LayerSpec) -> Den
 def layer_transfer_tensor(layer: LayerSpec, n_qubits: int) -> np.ndarray:
     """Layer action resolved over Pauli components, shape (3, 4, 4**n).
 
-    t[i, j, alpha] = tr[(sigma_i (x) I) U (sigma_j (x) W_alpha) U^dag] / 2d.
+    t[i, j, alpha] = tr[U^dag (sigma_i (x) I) U (sigma_j (x) W_alpha)] / 2d
+    with U the layer unitary and d = 2**n: the signal Paulis evolved back
+    through U (Heisenberg picture), read off over the (n+1)-qubit Pauli words.
     The output Bloch vector is t contracted with (1, r) and (1, lam), where
     lam are the Pauli coefficients of the uploaded state.
     """
-    d = 2**n_qubits
     u = layer_unitary(layer, n_qubits)
-    sig = np.array(PAULIS)
-    env = pauli_word_basis(n_qubits)
-    ops = np.einsum("jab,kcd->jkacbd", sig, env).reshape(4 * 4**n_qubits, 2 * d, 2 * d)
-    conj = np.matmul(np.matmul(u, ops), u.conj().T)
-    red = np.einsum("mabcb->mac", conj.reshape(-1, 2, d, 2, d))
-    t = np.einsum("iac,mca->mi", sig[1:], red).real.reshape(4, 4**n_qubits, 3)
-    return np.transpose(t, (2, 0, 1)) / (2 * d)
+    words = pauli_word_basis(n_qubits + 1)
+    # sigma_i (x) I for i = 1..3 are the words 4**n * i
+    heis = u.conj().T @ words[4**n_qubits :: 4**n_qubits] @ u
+    t = np.einsum("iab,mba->im", heis, words).real / 2 ** (n_qubits + 1)
+    return t.reshape(3, 4, 4**n_qubits)
 
 
 def initial_bloch(which: str) -> np.ndarray:

@@ -56,6 +56,13 @@ MODEL_SEED = 11
 GRID_POINTS = 101
 
 
+def _seed(text: str) -> int:
+    """argparse type of the --seed options: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _sig4(x) -> str:
     return f"{float(x):.4g}"
 
@@ -240,14 +247,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, choices=DATASET_TASKS)
     p.add_argument("--train-size", type=int, default=1000)
     p.add_argument("--test-size", type=int, default=500)
-    p.add_argument("--seed", type=int, default=DATASET_SEED)
+    p.add_argument("--seed", type=_seed, default=DATASET_SEED)
     p.add_argument("--out", required=True, help="output directory for train.jsonl / test.jsonl")
     p.set_defaults(func=cmd_gen_dataset)
 
     p = sub.add_parser("train", help="train a fresh model on a JSONL dataset directory")
     p.add_argument("--dataset", required=True, help="directory with train.jsonl / test.jsonl")
     p.add_argument("--layers", type=int, default=4)
-    p.add_argument("--model-seed", type=int, default=MODEL_SEED)
+    p.add_argument("--model-seed", type=_seed, default=MODEL_SEED)
     p.add_argument("--restricted", action="store_true",
                    help="CNOT couplings with trainable angles instead of general couplings")
     p.add_argument("--loss", choices=("mse", "logistic"), default="logistic")
@@ -255,20 +262,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--batch-size", type=int, default=0)
     p.add_argument("--shots", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output directory for report.json / histogram.csv")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("reproduce", help="rerun a preset and print reference vs obtained")
     p.add_argument("--preset", required=True, choices=PRESETS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("verify", help="run numerical certificates")
     p.add_argument("--check", choices=sorted(CHECKS), default=None,
                    help="single check to run (default: all)")
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_verify)
 

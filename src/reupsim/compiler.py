@@ -185,12 +185,7 @@ def _univariate_target_vector(target) -> np.ndarray:
     if isinstance(target, PolynomialSpec):
         if len(target.variables) > 1:
             raise ValueError("target is not univariate")
-        size = target.schedule_length + 1
-        v = np.zeros(size)
-        v[0] = target.c0
-        for m in target.monomials:
-            v[m.degree] += m.coeff
-        return v
+        return _target_tensor(target, target.variables, [target.schedule_length + 1])
     v = np.asarray(target, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ValueError("expected a 1d coefficient vector")
@@ -297,16 +292,10 @@ def extract_coefficients(circuit, basis: PolynomialSpec = None) -> np.ndarray:
     for row, lam_sparse in zip(lam_ext, probes):
         for a, x in lam_sparse.items():
             row[a] = x
-    rows = [[1.0] + [_monomial_value(m, lam[1:]) for m in monomials] for lam in lam_ext]
+    rows = [[1.0] + [MonomialSpec(1.0, m.exps).evaluate(lam[1:]) for m in monomials]
+            for lam in lam_ext]
     values = _final_bloch(model, lam_ext) @ model.readout_w + model.readout_b
     return _solve_probe_system(np.array(rows), values)
-
-
-def _monomial_value(m: MonomialSpec, lam: np.ndarray) -> float:
-    out = 1.0
-    for a, e in m.exps.items():
-        out *= lam[a - 1] ** e
-    return out
 
 
 def _extract_univariate(model: ReuploadModel) -> np.ndarray:

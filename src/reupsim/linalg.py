@@ -1,5 +1,5 @@
 """Dense complex linear algebra kernel: Kronecker products, partial traces,
-Hermitian eigendecompositions and Hermitian-generated unitaries.
+the Pauli-word basis, Hermitian eigendecompositions and exp(iH) unitaries.
 
 Everything works on plain complex128 ndarrays.  Matrices are small (the
 simulator never exceeds a handful of qubits) so dense routines are fine.
@@ -28,14 +28,6 @@ PAULIS = (
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the first argument on the most significant axis."""
     return np.kron(np.asarray(a), np.asarray(b))
-
-
-def kron_all(factors) -> np.ndarray:
-    """Left-associated Kronecker product of a sequence of matrices."""
-    out = np.asarray(factors[0])
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
 
 
 def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str = "A") -> np.ndarray:
@@ -97,16 +89,6 @@ def fd_jacobian(fn, p: np.ndarray, h: float) -> np.ndarray:
         dn[k] -= h
         cols.append((fn(up) - fn(dn)) / (2 * h))
     return np.stack(cols, axis=-1)
-
-
-def pauli_word_matrix(letters) -> np.ndarray:
-    """Tensor product of single-qubit Paulis given per-qubit letters in 0..3."""
-    letters = tuple(int(c) for c in letters)
-    if not letters:
-        raise ValueError("empty Pauli word")
-    if any(c not in (0, 1, 2, 3) for c in letters):
-        raise ValueError(f"letters must be in 0..3, got {letters}")
-    return kron_all([PAULIS[c] for c in letters])
 
 
 @lru_cache(maxsize=8)

@@ -237,8 +237,9 @@ def write_dataset(path, dataset) -> None:
 def read_dataset(path) -> list:
     """Read a JSONL dataset, revalidating every state.
 
-    Labels must be finite and every state must have the first record's
-    qubit count; errors name the file and line.
+    n must be a positive JSON integer and label a finite JSON number (not
+    a bool), and every state must have the first record's qubit count;
+    errors name the file and line.
     """
     out = []
     with open(path) as fh:
@@ -248,8 +249,13 @@ def read_dataset(path) -> list:
                 continue
             try:
                 rec = json.loads(line)
-                state = DensityMatrix(_matrix_from_json(rec["matrix"]), int(rec["n"]))
-                item = LabeledState(state, float(rec["label"]), dict(rec.get("meta", {})))
+                n, label = rec["n"], rec["label"]
+                if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+                    raise ValueError(f"n must be a positive JSON integer, got {json.dumps(n)}")
+                if isinstance(label, bool) or not isinstance(label, (int, float)):
+                    raise ValueError(f"label must be a JSON number, got {json.dumps(label)}")
+                state = DensityMatrix(_matrix_from_json(rec["matrix"]), n)
+                item = LabeledState(state, float(label), dict(rec.get("meta", {})))
                 if not math.isfinite(item.label):
                     raise ValueError("label must be finite")
                 if out and state.n_qubits != out[0].state.n_qubits:

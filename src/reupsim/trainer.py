@@ -71,8 +71,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in ("mse", "logistic"):
             raise ValueError(f"loss must be 'mse' or 'logistic', got {self.loss!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be at least 1")
         if self.batch_size < 0:

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import (
-    PAULIS, exp_i_hermitian, haar_unitary, is_hermitian, is_unitary, kron, pauli_word_matrix,
+    PAULIS, exp_i_hermitian, haar_unitary, is_hermitian, is_unitary, kron, pauli_word_basis,
     swap_permutation,
 )
 from .states import DensityMatrix, PauliWord, bloch_vector, purity, sample_bloch_ball
@@ -34,6 +34,8 @@ CHECK_TOLERANCES = {
     "ksigma": 1e-9,
     "swap-test": 1e-10,
 }
+
+_PAULI_PAIRS = pauli_word_basis(2).reshape(4, 4, 4, 4)[1:, 1:]  # [i-1, j-1]: sigma_i (x) sigma_j
 
 
 @dataclass
@@ -69,10 +71,7 @@ def corr(m: np.ndarray) -> CorrMatrix:
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"corr needs a 4x4 matrix, got {m.shape}")
-    out = np.empty((3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            out[i, j] = 0.5 * np.trace(m @ kron(PAULIS[i + 1], PAULIS[j + 1]))
+    out = 0.5 * np.einsum("ab,ijba->ij", m, _PAULI_PAIRS)
     if np.max(np.abs(out.imag)) > CORR_IMAG_ATOL:
         raise ValueError("corr entries are not real; input is not Hermitian")
     return CorrMatrix(out.real)
@@ -144,11 +143,9 @@ def observation1_certificate(u: np.ndarray, v: np.ndarray, o: np.ndarray):
     # Pauli transfer and the conjugated observable
     q = v.conj().T @ otilde @ v
     c = corr(q)
-    ctilde = np.empty((3, 3))
-    for i in range(3):
-        lam_sig = sum(k @ PAULIS[i + 1] @ k.conj().T for k in kraus)
-        for mu in range(3):
-            ctilde[mu, i] = 0.5 * np.trace(PAULIS[mu + 1] @ lam_sig).real
+    sig = pauli_word_basis(1)[1:]
+    lam_sig = sum(k @ sig @ k.conj().T for k in kraus)
+    ctilde = 0.5 * np.einsum("mab,iba->mi", sig, lam_sig).real
     if np.max(np.abs(t.entries - ctilde.T @ c.entries)) > DECOMP_ATOL:
         raise RuntimeError("correlation decomposition check failed")
     return t, t.det
@@ -213,10 +210,9 @@ def ksigma_corr(k, i: int) -> CorrMatrix:
     k = np.asarray(k, dtype=float)
     if k.shape != (3,):
         raise ValueError("k must be a real 3-vector")
-    gen = sum(k[a] * kron(PAULIS[a + 1], PAULIS[a + 1]) for a in range(3))
-    w = exp_i_hermitian(gen)
-    m = w.conj().T @ kron(PAULIS[i], np.eye(2)) @ w
-    return corr(m)
+    words = pauli_word_basis(2)  # sigma_a (x) sigma_a is word 5a, sigma_i (x) I word 4i
+    w = exp_i_hermitian(np.einsum("a,aij->ij", k, words[5::5]))
+    return corr(w.conj().T @ words[4 * i] @ w)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +250,7 @@ def evolution_formula_check(trials: int = 200, seed: int = 0) -> dict:
         word = PauliWord.from_index(alpha, n)
         layer = LayerSpec(theta, CouplingSpec.cu_alpha(word))
         out = bloch_vector(apply_layer(tau, rho, layer))
-        lam = float(np.trace(rho.matrix @ pauli_word_matrix(word.letters)).real)
+        lam = float(np.trace(rho.matrix @ pauli_word_basis(n)[word.index]).real)
         tilted = rz_bloch(theta) @ bloch_vector(tau)
         want = np.array([tilted[0], lam * tilted[1], lam * tilted[2]])
         worst = max(worst, float(np.max(np.abs(out - want))))

@@ -77,9 +77,10 @@ class TestTrain:
              "--test-size", 2, "--seed", 0, "--out", ds])
         path = ds / "train.jsonl"
         lines = path.read_text().splitlines()
-        # a missing field, and a field of the wrong type
+        # a missing field, and fields of the wrong type
         wrong_type = json.dumps({**json.loads(lines[1]), "matrix": 5})
-        for bad in ('{"n": 1, "label": 1.0}', wrong_type):
+        bool_label = json.dumps({**json.loads(lines[1]), "label": True})
+        for bad in ('{"n": 1, "label": 1.0}', wrong_type, bool_label):
             lines[1] = bad
             path.write_text("\n".join(lines) + "\n")
             code = run(["train", "--dataset", ds, "--layers", 1, "--epochs", 1,
@@ -112,6 +113,17 @@ class TestTrain:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{ds / 'test.jsonl'}: states have 2 qubits, train.jsonl has 1" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_usage_error(self, tmp_path, capsys, lr):
+        ds = tmp_path / "ds"
+        run(["gen-dataset", "--task", "band", "--train-size", 3,
+             "--test-size", 2, "--seed", 0, "--out", ds])
+        code = run(["train", "--dataset", ds, "--layers", 1, "--epochs", 1, "--lr", lr,
+                    "--out", tmp_path / "out"])
+        assert code == 2
+        assert f"learning_rate must be positive and finite, got {lr}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_dataset(self, tmp_path, capsys):
@@ -148,6 +160,23 @@ class TestVerify:
             run(["verify", "--check", "nonsense"])
         assert exc.value.code == 2
         assert "evolution-formula" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-dataset", "--task", "band", "--out", "ds", "--seed", "-5"],
+    ["train", "--dataset", "ds", "--out", "out", "--seed", "-1"],
+    ["train", "--dataset", "ds", "--out", "out", "--model-seed", "-1"],
+    ["reproduce", "--preset", "hadamard-demo", "--seed", "-1"],
+    ["verify", "--seed", "-1"],
+])
+def test_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    option, value = argv[-2:]
+    assert f"argument {option}: expected a non-negative integer, got '{value}'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 class TestReproduce:

@@ -1,6 +1,9 @@
 """Property tests of the batched transfer-tensor kernel against the
-density-matrix simulation, of the trainer's exact gradient against finite
-differences, and of the shared swap permutation."""
+density-matrix simulation, of complete positivity and trace preservation of
+every layer, of the trainer's exact gradient against finite differences, and
+of the shared swap permutation."""
+
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from reupsim.channel import (
     layer_transfer_tensor,
     run_model,
 )
-from reupsim.linalg import HermitianGenerator, kron_all, swap_permutation
+from reupsim.linalg import HermitianGenerator, partial_trace, pauli_word_basis, swap_permutation
 from reupsim.states import DensityMatrix, LabeledState, PauliWord, pauli_coeffs, sample_haar_pure
 from reupsim.trainer import TrainConfig, _labels, _lam_ext, _loss_gradient, gradient_fd
 
@@ -82,6 +85,22 @@ def test_affine_chain_equals_density_matrix_path(model, pure, seed):
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
+@given(model=models(), pure=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_layers_are_cptp(model, pure, seed):
+    rho = random_state(model.n_qubits, pure, np.random.default_rng(seed))
+    sig = pauli_word_basis(1)
+    for layer in model.layers:
+        e = layer_affine_map(layer, rho)
+        # E(I) = I + d . sigma and E(sigma_j) = sum_i M_ij sigma_i
+        images = [sig[0] + np.einsum("i,iab->ab", e.d, sig[1:]),
+                  *np.einsum("ij,iab->jab", e.m, sig[1:])]
+        choi = sum(np.kron(s.T, img) for s, img in zip(sig, images)) / 4
+        assert np.linalg.eigvalsh(choi)[0] >= -1e-12
+        np.testing.assert_allclose(partial_trace(choi, 2, 2, keep="A"), np.eye(2) / 2,
+                                   rtol=0, atol=1e-12)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
 @given(model=models(), pure=st.lists(st.booleans(), min_size=1, max_size=4),
        loss=st.sampled_from(("mse", "logistic")), seed=st.integers(0, 2**32 - 1))
 def test_loss_gradient_equals_finite_differences(model, pure, loss, seed):
@@ -104,6 +123,6 @@ def test_swap_permutation_exchanges_first_factors(dim_a, dim_b):
 
     a1, a2, b1, b2 = rand(dim_a), rand(dim_a), rand(dim_b), rand(dim_b)
     s = swap_permutation(dim_a, dim_b)
-    np.testing.assert_allclose(s @ kron_all([a1, b1, a2, b2]) @ s, kron_all([a2, b1, a1, b2]),
-                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(s @ reduce(np.kron, [a1, b1, a2, b2]) @ s,
+                               reduce(np.kron, [a2, b1, a1, b2]), rtol=0, atol=1e-14)
     assert not s.flags.writeable

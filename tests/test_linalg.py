@@ -11,7 +11,6 @@ from reupsim.linalg import (
     letters_to_index,
     partial_trace,
     pauli_word_basis,
-    pauli_word_matrix,
     unitary_to_generator,
 )
 
@@ -109,7 +108,6 @@ def test_pauli_word_basis_matches_explicit_kron():
     for alpha in range(16):
         a, b = index_to_letters(alpha, 2)
         assert np.array_equal(words[alpha], np.kron(PAULIS[a], PAULIS[b]))
-    assert np.allclose(pauli_word_matrix((1, 3)), np.kron(PAULIS[1], PAULIS[3]))
 
 
 def test_hermitian_generator_matrix_and_projection():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from reupsim.linalg import pauli_word_basis, pauli_word_matrix
+from reupsim.linalg import pauli_word_basis
 from reupsim.states import (
     ENTROPY_LABEL_THRESHOLD,
     PURITY_LABEL_THRESHOLD,
@@ -50,7 +50,7 @@ def test_pauli_word_index_and_validation():
 
 
 def test_pauli_matrix_example():
-    zz = pauli_word_matrix(PauliWord((3, 3)).letters)
+    zz = pauli_word_basis(2)[PauliWord((3, 3)).index]
     assert np.array_equal(zz, np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex))
 
 
@@ -181,6 +181,12 @@ def test_read_dataset_reports_line_number(tmp_path):
         good.replace('"meta": {}', '"meta": [1, 2]'),
         good.replace('"label": 0.0', '"label": NaN'),
         good.replace('"label": 0.0', '"label": Infinity'),
+        good.replace('"n": 1', '"n": 1.7'),
+        good.replace('"n": 1', '"n": true'),
+        good.replace('"n": 1', '"n": "1"'),
+        good.replace('"n": 1', '"n": 0'),
+        good.replace('"label": 0.0', '"label": true'),
+        good.replace('"label": 0.0', '"label": "0.5"'),
     ]
     for bad in bad_lines:
         path.write_text(good + "\n" + bad + "\n")

@@ -54,6 +54,9 @@ class TestConfig:
             TrainConfig(loss="hinge")
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
+        for lr in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"learning_rate must be positive and finite, got {lr}"):
+                TrainConfig(learning_rate=lr)
         with pytest.raises(ValueError):
             TrainConfig(shots=2)
         with pytest.raises(ValueError):
