@@ -4,8 +4,11 @@ Each layer rotates the signal about z, couples it unitarily to a fresh copy
 of an n-qubit input state and traces the copy out.  The signal qubit is
 always the first tensor factor.  Each layer is a CPTP collision map on the
 signal and affine on its Bloch vector; `layer_transfer_tensor` is its Pauli
-transfer (the signal Paulis evolved back through the layer unitary, over the
-Pauli coefficients of the input) and `layer_affine_map` its value at one input.
+transfer over the Pauli coefficients of the input, and `layer_affine_map` its
+value at one input.  A restricted coupling is one Pauli pair (i, alpha), and
+its transfer is the evolution formula (sigma_i kept, the other two signal
+Paulis scaled by lam_alpha) built with no unitary; only General couplings
+evolve the signal Paulis back through exp(iH).
 `affine_chain` pushes a batch of inputs through a chain of transfer tensors;
 it is the one batched kernel behind training and compilation.
 """
@@ -27,7 +30,15 @@ from .linalg import (
     partial_trace,
     pauli_word_basis,
 )
-from .states import DensityMatrix, PauliWord, bloch_vector, density_from_bloch, pauli_coeffs
+from .states import (
+    DensityMatrix,
+    PauliWord,
+    bloch_vector,
+    density_from_bloch,
+    json_int,
+    json_number,
+    pauli_coeffs,
+)
 
 COUPLING_VARIANTS = ("CNOT_BtoA", "CU_ij", "CU_alpha", "General")
 
@@ -79,6 +90,18 @@ class CouplingSpec:
     @classmethod
     def general(cls, generator: HermitianGenerator) -> "CouplingSpec":
         return cls("General", generator=generator)
+
+    @property
+    def pauli_pair(self) -> tuple:
+        """(i, alpha) of a restricted coupling: it applies signal sigma_i on
+        the -1 eigenspace of the environment word W_alpha."""
+        if self.variant == "CNOT_BtoA":
+            return 1, 3
+        if self.variant == "CU_ij":
+            return self.i, self.j
+        if self.variant == "CU_alpha":
+            return 1, self.word.index
+        raise ValueError("General couplings have no Pauli pair")
 
     @property
     def n_env(self) -> int:
@@ -151,20 +174,12 @@ def build_coupling(coupling: CouplingSpec, n_qubits: int) -> np.ndarray:
     """Dense coupling unitary on signal (x) environment, signal first."""
     if coupling.n_env != n_qubits:
         raise ValueError(f"coupling acts on {coupling.n_env} environment qubits, not {n_qubits}")
-    d = 2**n_qubits
     if coupling.variant == "General":
         return exp_i_hermitian(coupling.generator)
-    if coupling.variant == "CNOT_BtoA":
-        w = PAULIS[3]
-        sig = PAULIS[1]
-    elif coupling.variant == "CU_ij":
-        w = PAULIS[coupling.j]
-        sig = PAULIS[coupling.i]
-    else:
-        w = pauli_word_basis(n_qubits)[coupling.word.index]
-        sig = PAULIS[1]
-    eye = np.eye(d)
-    return kron(PAULIS[0], (eye + w) / 2) + kron(sig, (eye - w) / 2)
+    i, alpha = coupling.pauli_pair
+    w = pauli_word_basis(n_qubits)[alpha]
+    eye = np.eye(2**n_qubits)
+    return kron(PAULIS[0], (eye + w) / 2) + kron(PAULIS[i], (eye - w) / 2)
 
 
 def _rz(theta: float) -> np.ndarray:
@@ -198,18 +213,33 @@ def apply_layer(tau: DensityMatrix, rho: DensityMatrix, layer: LayerSpec) -> Den
 def layer_transfer_tensor(layer: LayerSpec, n_qubits: int) -> np.ndarray:
     """Layer action resolved over Pauli components, shape (3, 4, 4**n).
 
-    t[i, j, alpha] = tr[U^dag (sigma_i (x) I) U (sigma_j (x) W_alpha)] / 2d
-    with U the layer unitary and d = 2**n: the signal Paulis evolved back
-    through U (Heisenberg picture), read off over the (n+1)-qubit Pauli words.
+    The coupling's tensor t_C[i, j, alpha] = tr[C^dag (sigma_i (x) I) C
+    (sigma_j (x) W_alpha)] / 2d, d = 2**n, turned by the signal z-rotation
+    on the j axis: t[i, j, alpha] = sum_k t_C[i, k, alpha] (1 (+) R(theta))[k, j].
+    A restricted coupling (i, alpha) gives the evolution formula, three unit
+    entries and no unitary: sigma_i is kept and the other two signal Paulis
+    pick up W_alpha.  A General coupling evolves the signal Paulis back
+    through exp(iH) and reads them off over the (n+1)-qubit Pauli words.
     The output Bloch vector is t contracted with (1, r) and (1, lam), where
     lam are the Pauli coefficients of the uploaded state.
     """
-    u = layer_unitary(layer, n_qubits)
-    words = pauli_word_basis(n_qubits + 1)
-    # sigma_i (x) I for i = 1..3 are the words 4**n * i
-    heis = u.conj().T @ words[4**n_qubits :: 4**n_qubits] @ u
-    t = np.einsum("iab,mba->im", heis, words).real / 2 ** (n_qubits + 1)
-    return t.reshape(3, 4, 4**n_qubits)
+    coupling = layer.coupling
+    if coupling.n_env != n_qubits:
+        raise ValueError(f"coupling acts on {coupling.n_env} environment qubits, not {n_qubits}")
+    if coupling.variant == "General":
+        c = build_coupling(coupling, n_qubits)
+        words = pauli_word_basis(n_qubits + 1)
+        # sigma_i (x) I for i = 1..3 are the words 4**n * i
+        heis = c.conj().T @ words[4**n_qubits :: 4**n_qubits] @ c
+        t = np.einsum("iab,mba->im", heis, words).real / 2 ** (n_qubits + 1)
+        t = t.reshape(3, 4, 4**n_qubits)
+    else:
+        i, alpha = coupling.pauli_pair
+        t = np.zeros((3, 4, 4**n_qubits))
+        for k in (1, 2, 3):
+            t[k - 1, k, 0 if k == i else alpha] = 1.0
+    t[:, 1:] = np.einsum("ika,kj->ija", t[:, 1:], rz_bloch(layer.theta))
+    return t
 
 
 def initial_bloch(which: str) -> np.ndarray:
@@ -323,14 +353,13 @@ def _coupling_from_dict(d: dict) -> CouplingSpec:
     if variant == "CNOT_BtoA":
         return CouplingSpec.cnot()
     if variant == "CU_ij":
-        return CouplingSpec.cu_ij(int(d["i"]), int(d["j"]))
+        return CouplingSpec.cu_ij(json_int(d["i"], "i"), json_int(d["j"], "j"))
     if variant == "CU_alpha":
-        return CouplingSpec.cu_alpha(PauliWord(tuple(d["word"])))
+        return CouplingSpec.cu_alpha(PauliWord(tuple(json_int(c, "word", 0) for c in d["word"])))
     if variant != "General":
         raise ValueError(f"unknown coupling variant {variant!r}")
-    return CouplingSpec.general(
-        HermitianGenerator(int(d["n_qubits"]), np.array(d["coeffs"], dtype=float))
-    )
+    coeffs = np.array([json_number(x, "coeffs") for x in d["coeffs"]])
+    return CouplingSpec.general(HermitianGenerator(json_int(d["n_qubits"], "n_qubits"), coeffs))
 
 
 def model_to_json(model: ReuploadModel) -> str:
@@ -349,15 +378,17 @@ def model_to_json(model: ReuploadModel) -> str:
 
 
 def model_from_json(text: str) -> ReuploadModel:
+    """Parse model_to_json output; a field of the wrong JSON type raises a
+    ValueError that names it."""
     rec = json.loads(text)
     layers = [
-        LayerSpec(float(l["theta"]), _coupling_from_dict(l["coupling"]))
+        LayerSpec(json_number(l["theta"], "theta"), _coupling_from_dict(l["coupling"]))
         for l in rec["layers"]
     ]
     return ReuploadModel(
-        n_qubits=int(rec["n"]),
+        n_qubits=json_int(rec["n"], "n"),
         layers=layers,
-        readout_w=np.array(rec["w"], dtype=float),
-        readout_b=float(rec["b"]),
+        readout_w=np.array([json_number(x, "w") for x in rec["w"]]),
+        readout_b=json_number(rec["b"], "b"),
         initial_signal=rec["initial_signal"],
     )

@@ -4,7 +4,10 @@ parameters.
 A scheduled layer stack realizes the readout as a polynomial in the uploaded
 state's Pauli coefficients: each layer multiplies the in-plane signal
 components by one coefficient lam_alpha, and z-rotations move weight between
-the fixed x component and the scaled plane.  `schedule_layers` lays out one
+the fixed x component and the scaled plane.  `_readout_polynomials` pushes
+the layers' transfer tensors through coefficient space, the one exact
+coefficient chain behind every route; `extract_coefficients` reads a circuit
+back independently, from probe inputs.  `schedule_layers` lays out one
 block of couplings per target monomial, `compile_univariate_delta` realizes
 univariate targets to second order in a small angle scale, and
 `fit_coefficients` drives the residual down with Gauss-Newton refinement or,
@@ -15,7 +18,6 @@ with large readout weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -160,24 +162,12 @@ def _block_starts(poly: PolynomialSpec) -> list:
 # ---------------------------------------------------------------------------
 # exact univariate polynomial bookkeeping
 
-def _planar_coeffs(thetas, w, b, size: int) -> np.ndarray:
-    """Readout coefficients of a z-rotation + single-variable-scaling stack.
-
-    The signal starts at Bloch (1,0,0); each layer rotates (x,y) by theta_l
-    and then shifts the planar components up one degree in lam.  Exact in
-    float arithmetic, no probes involved.
-    """
-    x = np.zeros(size)
-    y = np.zeros(size)
-    x[0] = 1.0
-    for th in thetas:
-        c, s = np.cos(th), np.sin(th)
-        x, y = c * x - s * y, s * x + c * y
-        y[1:] = y[:-1]
-        y[0] = 0.0
-    v = w[0] * x + w[1] * y
-    v[0] += b
-    return v
+def _univariate_coeffs(model: ReuploadModel) -> np.ndarray:
+    """Readout coefficient ladder (degree 0..L) of a stack whose couplings
+    all scale by one variable, exact in float arithmetic."""
+    alpha = model.layers[0].coupling.pauli_pair[1]
+    c = _readout_polynomials(model, [alpha], [len(model.layers) + 1])
+    return model.readout_w @ c[1:] + model.readout_b * c[0]
 
 
 def _univariate_target_vector(target) -> np.ndarray:
@@ -216,7 +206,7 @@ def compile_univariate_delta(target, delta: float) -> CompiledCircuit:
     w = np.array([0.0, 1.0 / delta, 0.0])
     layers = [LayerSpec(th, c) for th, c in zip(thetas, couplings)]
     model = ReuploadModel(n_qubits, layers, w, v[0])
-    realized = _planar_coeffs(thetas, w, v[0], L + 1)
+    realized = _univariate_coeffs(model)
     return CompiledCircuit(
         model, list(range(1, L + 1)), delta=delta, residual=float(np.max(np.abs(realized - v)))
     )
@@ -228,16 +218,6 @@ def compile_univariate_delta(target, delta: float) -> CompiledCircuit:
 def _chebyshev_nodes(count: int, scale: float = 0.9) -> np.ndarray:
     k = np.arange(count)
     return scale * np.cos((2 * k + 1) * np.pi / (2 * count))
-
-
-def _layer_scaling_variable(coupling: CouplingSpec) -> int:
-    if coupling.variant == "CNOT_BtoA":
-        return 3
-    if coupling.variant == "CU_ij":
-        return coupling.j
-    if coupling.variant == "CU_alpha":
-        return coupling.word.index
-    raise ValueError("general couplings need an explicit monomial basis")
 
 
 def _final_bloch(model: ReuploadModel, lam_ext: np.ndarray) -> np.ndarray:
@@ -299,7 +279,9 @@ def extract_coefficients(circuit, basis: PolynomialSpec = None) -> np.ndarray:
 
 
 def _extract_univariate(model: ReuploadModel) -> np.ndarray:
-    variables = {_layer_scaling_variable(l.coupling) for l in model.layers}
+    if any(l.coupling.variant == "General" for l in model.layers):
+        raise ValueError("general couplings need an explicit monomial basis")
+    variables = {l.coupling.pauli_pair[1] for l in model.layers}
     if len(variables) != 1:
         raise ValueError("schedule is not univariate; pass an explicit basis")
     var = variables.pop()
@@ -332,7 +314,8 @@ def jacobian_theta0(n_layers: int) -> np.ndarray:
     p0[L + 1] = 1.0  # w2
 
     def coeffs(p):
-        return _planar_coeffs(p[:L], p[L : L + 3], p[L + 3], L + 1)
+        layers = [LayerSpec(th, CouplingSpec.cnot()) for th in p[:L]]
+        return _univariate_coeffs(ReuploadModel(1, layers, p[L : L + 3], p[L + 3]))
 
     return fd_jacobian(coeffs, p0, JACOBIAN_FD_STEP)
 
@@ -347,29 +330,26 @@ def _su2(axis, angle: float) -> np.ndarray:
     return np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * gen
 
 
-def _tensor_grid_coeffs(model: ReuploadModel, variables, nodes_per_var):
-    """Coefficient tensors of the readout channels over an abstract lam grid.
+def _readout_polynomials(model: ReuploadModel, variables, shape) -> np.ndarray:
+    """Coefficient tensors of (1, r1, r2, r3) as polynomials in the lam at
+    variables, shape (4, *shape).
 
-    Chains the exact per-layer transfer tensors over a tensor grid in the
-    scheduled variables and inverts the per-axis Vandermonde systems.
-    Returns (channel_tensors[4], axis_sizes): channels are r1, r2, r3, 1.
+    c[:, e_1, .., e_K] is the coefficient of prod lam_{variables[k]}^e_k.
+    Each layer's transfer tensor acts on c as on (1, r); its alpha =
+    variables[k] slice multiplies by lam_alpha, a shift along axis k.  Other
+    words count as zero, and degrees past shape are dropped.
     """
-    axes = [np.array(nodes_per_var[v]) for v in variables]
-    grids = np.array(list(product(*axes)))  # (P, K)
-    p = grids.shape[0]
-    lam_ext = np.zeros((p, 4**model.n_qubits))
-    lam_ext[:, 0] = 1.0
-    lam_ext[:, variables] = grids
-    r = _final_bloch(model, lam_ext)
-    shape = [len(ax) for ax in axes]
-    channels = []
-    for c in range(4):
-        vals = (r[:, c] if c < 3 else np.ones(p)).reshape(shape)
-        for k, ax in enumerate(axes):
-            vinv = np.linalg.inv(np.vander(ax, len(ax), increasing=True))
-            vals = np.moveaxis(np.tensordot(vinv, np.moveaxis(vals, k, 0), axes=(1, 0)), 0, k)
-        channels.append(vals)
-    return channels, shape
+    c = np.zeros((4, *shape))
+    c[(slice(None),) + (0,) * len(shape)] = [1.0, *initial_bloch(model.initial_signal)]
+    for layer in model.layers:
+        t = layer_transfer_tensor(layer, model.n_qubits)
+        r = np.tensordot(t[:, :, 0], c, axes=1)
+        for k, alpha in enumerate(variables):
+            scaled = np.tensordot(t[:, :, alpha], c, axes=1)
+            up = (slice(None),) * (k + 1)
+            r[up + (slice(1, None),)] += scaled[up + (slice(None, -1),)]
+        c[1:] = r
+    return c
 
 
 def _target_tensor(poly: PolynomialSpec, variables, shape) -> np.ndarray:
@@ -387,19 +367,19 @@ def _target_tensor(poly: PolynomialSpec, variables, shape) -> np.ndarray:
 def _coefficient_system(model: ReuploadModel, poly: PolynomialSpec, target=None):
     """Readout coefficients of model against those of the target polynomial.
 
-    The grid gives each scheduled variable one node more than its degree in
-    the schedule, so it resolves every monomial the circuit can produce.
-    Returns (a, target): a has columns r1, r2, r3, 1, so a @ (w, b) are the
+    Each scheduled variable's degree runs up to its count in the schedule,
+    which covers every monomial the circuit can produce.  Returns
+    (a, target): a has columns r1, r2, r3, 1, so a @ (w, b) are the
     readout's coefficients, and target is flattened the same way.  A target
     from an earlier call for the same poly is passed back unchanged.
     """
     var_seq = _schedule_variables(poly)
     variables = sorted(set(var_seq))
-    nodes = {v: np.linspace(-0.9, 0.9, var_seq.count(v) + 1) for v in variables}
-    channels, shape = _tensor_grid_coeffs(model, variables, nodes)
+    shape = [var_seq.count(v) + 1 for v in variables]
+    c = _readout_polynomials(model, variables, shape)
     if target is None:
         target = _target_tensor(poly, variables, shape).ravel()
-    return np.stack([c.ravel() for c in channels], axis=1), target
+    return c[[1, 2, 3, 0]].reshape(4, -1).T, target
 
 
 def _circuit_residual(model: ReuploadModel, poly: PolynomialSpec) -> float:
@@ -437,7 +417,7 @@ def _damped_gauss_newton(residual, p: np.ndarray, max_iter: int, stop: float):
     return p, best
 
 
-def _fit_univariate(poly: PolynomialSpec, tol: float, max_iter: int, seed: int) -> CompiledCircuit:
+def _fit_univariate(poly: PolynomialSpec, max_iter: int, seed: int) -> CompiledCircuit:
     v_target = _univariate_target_vector(poly)
     L = v_target.size - 1
     couplings = schedule_layers(poly)
@@ -445,7 +425,8 @@ def _fit_univariate(poly: PolynomialSpec, tol: float, max_iter: int, seed: int) 
     w = np.array([0.0, 1.0 / delta, 0.0])
 
     def realized(p):
-        return _planar_coeffs(p[:L], w, p[L], L + 1)
+        layers = [LayerSpec(th, c) for th, c in zip(p[:L], couplings)]
+        return _univariate_coeffs(ReuploadModel(poly.n_qubits, layers, w, p[L]))
 
     def residual(p):
         return realized(p) - v_target
@@ -517,7 +498,7 @@ def _fit_two_squares(poly: PolynomialSpec) -> CompiledCircuit:
     return CompiledCircuit(model, [1, 3], residual=_circuit_residual(model, poly))
 
 
-def _fit_kick_family(poly: PolynomialSpec, tol: float) -> CompiledCircuit:
+def _fit_kick_family(poly: PolynomialSpec) -> CompiledCircuit:
     """Three single-variable squares via first-order kicks and a quarter turn.
 
     Tiny y-kicks at layers 1 and 3 imprint lam_1^2 and lam_2^2 on the x
@@ -624,13 +605,13 @@ def fit_coefficients(poly: PolynomialSpec, max_iter: int = 100, tol: float = 1e-
                               np.zeros(3), poly.c0)
         return CompiledCircuit(model, [], residual=0.0)
     if nvars == 1:
-        circ = _fit_univariate(poly, tol, max_iter, seed)
+        circ = _fit_univariate(poly, max_iter, seed)
     elif len(poly.monomials) == 1:
         circ = _fit_single_monomial(poly)
     elif _is_diag_quadratic(poly) and len(poly.monomials) == 2:
         circ = _fit_two_squares(poly)
     elif _is_diag_quadratic(poly) and len(poly.monomials) == 3:
-        circ = _fit_kick_family(poly, tol)
+        circ = _fit_kick_family(poly)
     else:
         circ = _fit_general(poly, tol, max_iter, seed)
     if circ.residual > tol:

@@ -221,6 +221,21 @@ def _matrix_from_json(rows) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
+def json_int(value, field: str, low: int = 1) -> int:
+    """value, if it is a JSON integer (not a bool) of at least low (0 or 1)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        kind = "positive" if low == 1 else "non-negative"
+        raise ValueError(f"{field} must be a {kind} JSON integer, got {json.dumps(value)}")
+    return value
+
+
+def json_number(value, field: str) -> float:
+    """value as a float, if it is a JSON number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a JSON number, got {json.dumps(value)}")
+    return float(value)
+
+
 def write_dataset(path, dataset) -> None:
     """Write labeled states as JSONL, one record per line."""
     with open(path, "w") as fh:
@@ -249,13 +264,10 @@ def read_dataset(path) -> list:
                 continue
             try:
                 rec = json.loads(line)
-                n, label = rec["n"], rec["label"]
-                if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-                    raise ValueError(f"n must be a positive JSON integer, got {json.dumps(n)}")
-                if isinstance(label, bool) or not isinstance(label, (int, float)):
-                    raise ValueError(f"label must be a JSON number, got {json.dumps(label)}")
+                n = json_int(rec["n"], "n")
+                label = json_number(rec["label"], "label")
                 state = DensityMatrix(_matrix_from_json(rec["matrix"]), n)
-                item = LabeledState(state, float(label), dict(rec.get("meta", {})))
+                item = LabeledState(state, label, dict(rec.get("meta", {})))
                 if not math.isfinite(item.label):
                     raise ValueError("label must be finite")
                 if out and state.n_qubits != out[0].state.n_qubits:

@@ -31,6 +31,7 @@ from .channel import (
     model_from_json,
     model_to_json,
     run_model,
+    rz_bloch,
     sample_shots,
 )
 from .states import pauli_coeffs
@@ -234,33 +235,31 @@ def gradient_fd(model: ReuploadModel, batch, config: TrainConfig = None) -> np.n
     return fd_jacobian(loss_at, p0, FD_STEP)
 
 
-def _generator_gradient(layer: LayerSpec, n_qubits: int, g: np.ndarray) -> np.ndarray:
-    """Pull dloss/dt back to the Pauli coefficients of a General generator.
+def _generator_gradient(generator: HermitianGenerator, g: np.ndarray) -> np.ndarray:
+    """Pull dloss/dt_C back to the Pauli coefficients of a General generator.
 
-    g[i, j, alpha] is dloss/dt[i, j, alpha] for the layer's transfer tensor
-    t (see layer_transfer_tensor), flattened over (j, alpha), shape
-    (3, 4**(n+1)).  With U = exp(iH) K and K = Rz(theta) (x) I,
+    g[i, j, alpha] is dloss/dt_C[i, j, alpha] for the coupling's transfer
+    tensor t_C (the layer's tensor before the signal z-rotation), flattened
+    over (j, alpha), shape (3, 4**(n+1)).  With U = exp(iH) and d = 2**n,
     dloss = Re tr(dU M) / d for M = sum g[i, m] P_m U^dag (sigma_i (x) I).
     The derivative of exp(iH) along dH is V (Phi o V^dag dH V) V^dag for
     H = V diag(lam) V^dag, with Phi the symmetric matrix of divided
     differences of exp(i .) (Daleckii-Krein), so dloss/dc_k =
-    Re tr(P_k Q) / d with Q = V (Phi o V^dag K M V) V^dag.
+    Re tr(P_k Q) / d with Q = V (Phi o V^dag M V) V^dag.
     """
-    d = 2**n_qubits
-    words = pauli_word_basis(n_qubits + 1)
+    n_qubits = generator.n_qubits - 1
+    words = pauli_word_basis(generator.n_qubits)
     signal = words[[4**n_qubits * i for i in (1, 2, 3)]]
-    vals, vecs = np.linalg.eigh(layer.coupling.generator.matrix())
-    phase = np.exp(1j * vals)
-    k_diag = np.repeat(np.exp([-0.5j * layer.theta, 0.5j * layer.theta]), d)
-    u_dag = (k_diag.conj()[:, None] * vecs) @ (phase.conj()[:, None] * vecs.conj().T)
+    vals, vecs = np.linalg.eigh(generator.matrix())
+    u_dag = vecs @ (np.exp(-1j * vals)[:, None] * vecs.conj().T)
     b = np.einsum("im,mxy->ixy", g, words)
     m = np.sum(b @ u_dag @ signal, axis=0)
-    m_eig = vecs.conj().T @ (k_diag[:, None] * m) @ vecs
+    m_eig = vecs.conj().T @ m @ vecs
     # (e^{ia} - e^{ib}) / (a - b) in a form that stays exact as a -> b
     gap = vals[:, None] - vals[None, :]
     phi = 1j * np.exp(0.5j * (vals[:, None] + vals[None, :])) * np.sinc(gap / (2 * np.pi))
     q = vecs @ (phi * m_eig) @ vecs.conj().T
-    return np.einsum("kab,ba->k", words[1:], q).real / d
+    return np.einsum("kab,ba->k", words[1:], q).real / 2**n_qubits
 
 
 def _loss_gradient(model: ReuploadModel, lam, y, config: TrainConfig, forward=None):
@@ -269,9 +268,11 @@ def _loss_gradient(model: ReuploadModel, lam, y, config: TrainConfig, forward=No
     forward is _forward_states(model, lam) when the caller already has it.
     Per layer, one adjoint contraction over the samples gives
     G[i, j, alpha] = dloss/dt[i, j, alpha] for the layer's transfer tensor t.
-    General generators pull G back through exp(iH) (_generator_gradient).  A
-    restricted angle only rotates the signal's (x, y) before the coupling, so
-    dt/dtheta = t Omega on the j axis with Omega[x, y] = -1, Omega[y, x] = 1.
+    Every tensor is its coupling's tensor t_C turned by the signal z-rotation
+    on the j axis, t = t_C (1 (+) R(theta)).  General generators pull
+    G_C = G (1 (+) R(theta))^T back through exp(iH) (_generator_gradient).  A
+    restricted angle only turns the rotation, so dt/dtheta = t Omega on the j
+    axis with Omega[x, y] = -1, Omega[y, x] = 1.
     """
     n = lam.shape[0]
     tensors, maps, prefixes = forward if forward is not None else _forward_states(model, lam)
@@ -290,12 +291,12 @@ def _loss_gradient(model: ReuploadModel, lam, y, config: TrainConfig, forward=No
         # G[i, j, alpha] = sum_n dldf_n u_n[i] (1, r_prev)_n[j] lam_n[alpha]
         r_ext = np.concatenate([np.ones((n, 1)), prefixes[li]], axis=1)
         left = (dldf[:, None] * suffixes[li])[:, :, None] * r_ext[:, None, :]
-        g = (left.reshape(n, 12).T @ lam).reshape(3, -1)
+        g = (left.reshape(n, 12).T @ lam).reshape(3, 4, -1)
         if layer.coupling.variant == "General":
-            grads.append(_generator_gradient(layer, model.n_qubits, g))
+            g[:, 1:] = np.einsum("ija,kj->ika", g[:, 1:], rz_bloch(layer.theta))
+            grads.append(_generator_gradient(layer.coupling.generator, g.reshape(3, -1)))
         else:
             t = tensors[li]
-            g = g.reshape(t.shape)
             grads.append(np.array([np.sum(g[:, 1] * t[:, 2]) - np.sum(g[:, 2] * t[:, 1])]))
     grads.append(dldf @ prefixes[-1])
     grads.append(np.array([np.sum(dldf)]))

@@ -308,6 +308,26 @@ def test_model_json_rejects_unknown_variant_by_name():
         model_from_json(json.dumps(rec))
 
 
+# one field of a valid model record replaced by a value of the wrong JSON type
+MISTYPED_MODEL_FIELDS = [
+    ("n", lambda rec: rec.update(n=1.7)),
+    ("theta", lambda rec: rec["layers"][0].update(theta=True)),
+    ("i", lambda rec: rec["layers"][0]["coupling"].update(i=1.9)),
+    ("j", lambda rec: rec["layers"][0]["coupling"].update(j="2")),
+    ("b", lambda rec: rec.update(b="0.5")),
+]
+
+
+def test_model_json_rejects_mistyped_fields_by_name():
+    text = model_to_json(ReuploadModel(1, [LayerSpec(0.1, CouplingSpec.cu_ij(1, 2))],
+                                       np.zeros(3), 0.0))
+    for field, edit in MISTYPED_MODEL_FIELDS:
+        rec = json.loads(text)
+        edit(rec)
+        with pytest.raises(ValueError, match=f"^{field} must be a"):
+            model_from_json(json.dumps(rec))
+
+
 def test_affine_map_validation():
     with pytest.raises(ValueError):
         AffineBlochMap(np.eye(2), np.zeros(3))

@@ -13,6 +13,7 @@ from reupsim.compiler import (
     jacobian_theta0,
     schedule_layers,
 )
+from reupsim.linalg import HermitianGenerator
 from reupsim.states import density_from_bloch, psi_t
 
 # quartic from the reproduction presets: 3(x+0.8)x(x-0.5)^2 + 0.3 expanded
@@ -213,6 +214,13 @@ class TestExtract:
         layers = [LayerSpec(0.3, c) for c in schedule_layers(p)]
         model = ReuploadModel(1, layers, np.array([0.0, 1.0, 0.0]), 0.0)
         with pytest.raises(ValueError, match="univariate"):
+            extract_coefficients(model)
+
+    def test_general_layer_needs_basis(self):
+        gen = HermitianGenerator(2, np.random.default_rng(3).normal(scale=0.2, size=15))
+        layers = [LayerSpec(0.3, CouplingSpec.cnot()), LayerSpec(0.0, CouplingSpec.general(gen))]
+        model = ReuploadModel(1, layers, np.array([0.0, 1.0, 0.0]), 0.0)
+        with pytest.raises(ValueError, match="basis"):
             extract_coefficients(model)
 
 

@@ -1,8 +1,12 @@
 """Property tests of the batched transfer-tensor kernel against the
-density-matrix simulation, of complete positivity and trace preservation of
-every layer, of the trainer's exact gradient against finite differences, and
-of the shared swap permutation."""
+density-matrix simulation, of the restricted tensors against the evolution
+formula, of the compiler's coefficient chain against the kernel, of complete
+positivity and trace preservation of every layer, of the trainer's exact
+gradient against finite differences, of bit-exact JSON round trips, and of
+the shared swap permutation."""
 
+import os
+import tempfile
 from functools import reduce
 
 import numpy as np
@@ -18,10 +22,21 @@ from reupsim.channel import (
     initial_bloch,
     layer_affine_map,
     layer_transfer_tensor,
+    model_from_json,
+    model_to_json,
     run_model,
 )
+from reupsim.compiler import _readout_polynomials
 from reupsim.linalg import HermitianGenerator, partial_trace, pauli_word_basis, swap_permutation
-from reupsim.states import DensityMatrix, LabeledState, PauliWord, pauli_coeffs, sample_haar_pure
+from reupsim.states import (
+    DensityMatrix,
+    LabeledState,
+    PauliWord,
+    pauli_coeffs,
+    read_dataset,
+    sample_haar_pure,
+    write_dataset,
+)
 from reupsim.trainer import TrainConfig, _labels, _lam_ext, _loss_gradient, gradient_fd
 
 
@@ -84,6 +99,44 @@ def test_affine_chain_equals_density_matrix_path(model, pure, seed):
                                        rtol=0, atol=1e-12)
 
 
+# (coupling, n, i, alpha): the coupling applies sigma_i on the -1 eigenspace of W_alpha
+RESTRICTED = (
+    [(CouplingSpec.cnot(), 1, 1, 3)]
+    + [(CouplingSpec.cu_ij(i, j), 1, i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+    + [(CouplingSpec.cu_alpha(PauliWord.from_index(a, n)), n, 1, a)
+       for n in (1, 2) for a in range(1, 4**n)]
+)
+
+
+@pytest.mark.parametrize("coupling, n, i, alpha", RESTRICTED)
+def test_restricted_tensor_is_the_evolution_formula(coupling, n, i, alpha):
+    # sigma_i is kept, the other two signal Paulis pick up W_alpha
+    formula = np.zeros((3, 4, 4**n))
+    for k in (1, 2, 3):
+        formula[k - 1, k, 0 if k == i else alpha] = 1.0
+    assert np.array_equal(layer_transfer_tensor(LayerSpec(0.0, coupling), n), formula)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(model=models(), data=st.data())
+def test_readout_polynomials_equal_affine_chain(model, data):
+    n = model.n_qubits
+    variables = data.draw(st.lists(st.integers(1, 4**n - 1), min_size=1, max_size=2, unique=True))
+    # every layer raises each variable's degree by at most one: nothing is truncated
+    c = _readout_polynomials(model, variables, [len(model.layers) + 1] * len(variables))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    lam_ext = np.zeros((5, 4**n))
+    lam_ext[:, 0] = 1.0
+    lam_ext[:, variables] = rng.uniform(-1.0, 1.0, size=(5, len(variables)))
+    r = affine_chain([layer_transfer_tensor(l, n) for l in model.layers], lam_ext,
+                     initial_bloch(model.initial_signal))[1][-1]
+    for row, lam in zip(r, lam_ext):
+        value = c
+        for x in lam[variables]:  # sum out the leading variable's powers
+            value = np.tensordot(value, x ** np.arange(value.shape[1]), axes=(1, 0))
+        np.testing.assert_allclose(value, [1.0, *row], rtol=0, atol=1e-12)
+
+
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(model=models(), pure=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_layers_are_cptp(model, pure, seed):
@@ -112,6 +165,32 @@ def test_loss_gradient_equals_finite_differences(model, pure, loss, seed):
     cfg = TrainConfig(loss=loss)
     _, g = _loss_gradient(model, _lam_ext(batch, model.n_qubits), _labels(batch), cfg)
     np.testing.assert_allclose(g, gradient_fd(model, batch, cfg), rtol=0, atol=1e-6)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(model=models())
+def test_model_json_round_trip_is_bit_exact(model):
+    text = model_to_json(model)
+    assert model_to_json(model_from_json(text)) == text
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(n=st.sampled_from((1, 2)), pure=st.lists(st.booleans(), min_size=1, max_size=4),
+       labels=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_dataset_round_trip_is_bit_exact(n, pure, labels, seed):
+    rng = np.random.default_rng(seed)
+    items = [LabeledState(random_state(n, p, rng), y, {"k": k})
+             for k, (p, y) in enumerate(zip(pure, labels))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.jsonl")
+        write_dataset(path, items)
+        back = read_dataset(path)
+    assert len(back) == len(items)
+    for a, b in zip(items, back):
+        assert np.array_equal(a.state.matrix, b.state.matrix)
+        assert a.state.n_qubits == b.state.n_qubits
+        assert a.label == b.label and a.meta == b.meta
 
 
 @pytest.mark.parametrize("dim_a, dim_b", [(2, 2), (2, 1), (4, 1)])
