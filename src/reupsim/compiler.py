@@ -10,9 +10,9 @@ coefficient chain behind every route; `extract_coefficients` reads a circuit
 back independently, from probe inputs.  `schedule_layers` lays out one
 block of couplings per target monomial, `compile_univariate_delta` realizes
 univariate targets to second order in a small angle scale, and
-`fit_coefficients` drives the residual down with Gauss-Newton refinement or,
-for the diagonal quadratic family, an explicit near-singular construction
-with large readout weights.
+`fit_coefficients` drives the residual down with one damped Gauss-Newton fit
+over every angle and the readout, or uses an exact one-hot, two-squares or
+near-singular kick construction for the targets those cover.
 """
 
 from __future__ import annotations
@@ -41,6 +41,12 @@ JACOBIAN_FD_STEP = 1e-5
 # knob for the diagonal-quadratic construction; the unmatched cross terms it
 # leaves behind scale linearly with this, the readout weights inversely
 KICK_EPS = 3e-7
+
+# Gauss-Newton search of the univariate and general routes: steps per start,
+# the residual fit_coefficients accepts, and the seed of the random starts
+FIT_MAX_ITER = 100
+FIT_TOL = 1e-6
+FIT_SEED = 0
 
 
 @dataclass
@@ -149,14 +155,6 @@ def _schedule_variables(poly: PolynomialSpec) -> list:
         for alpha in sorted(m.exps):
             seq.extend([alpha] * m.exps[alpha])
     return seq
-
-
-def _block_starts(poly: PolynomialSpec) -> list:
-    starts, s = [], 0
-    for m in poly.monomials:
-        starts.append(s + 1)
-        s += m.degree
-    return starts
 
 
 # ---------------------------------------------------------------------------
@@ -417,43 +415,45 @@ def _damped_gauss_newton(residual, p: np.ndarray, max_iter: int, stop: float):
     return p, best
 
 
-def _fit_univariate(poly: PolynomialSpec, max_iter: int, seed: int) -> CompiledCircuit:
-    v_target = _univariate_target_vector(poly)
-    L = v_target.size - 1
-    couplings = schedule_layers(poly)
-    delta = 1e-2
-    w = np.array([0.0, 1.0 / delta, 0.0])
+def _fit_gauss_newton(poly: PolynomialSpec, starts) -> CompiledCircuit:
+    """Damped Gauss-Newton over p = (theta_1 .. theta_L, w1, w2, w3, b).
 
-    def realized(p):
-        layers = [LayerSpec(th, c) for th, c in zip(p[:L], couplings)]
-        return _univariate_coeffs(ReuploadModel(poly.n_qubits, layers, w, p[L]))
+    Each start runs until the sup-norm coefficient error drops below 1e-12;
+    the search keeps the best run and stops at the first under FIT_TOL.
+    """
+    couplings = schedule_layers(poly)
+    L = len(couplings)
+
+    def circuit(p):
+        layers = [LayerSpec(float(th), c) for th, c in zip(p[:L], couplings)]
+        return ReuploadModel(poly.n_qubits, layers, p[L : L + 3], float(p[L + 3]))
+
+    target = None
 
     def residual(p):
-        return realized(p) - v_target
+        nonlocal target
+        a, target = _coefficient_system(circuit(p), poly, target)
+        return a @ p[L:] - target
 
-    seeds = [np.concatenate([v_target[L:0:-1] * delta, [v_target[0]]])]
-    rng = np.random.default_rng(seed)
-    for _ in range(4):
-        seeds.append(np.concatenate([rng.normal(scale=0.3, size=L), [v_target[0]]]))
     best_p, best_res = None, np.inf
-    for p0 in seeds:
-        p, res = _damped_gauss_newton(residual, p0, max_iter, 1e-14)
+    for p in starts:
+        p, res = _damped_gauss_newton(residual, p, FIT_MAX_ITER, 1e-12)
         if res < best_res:
             best_p, best_res = p, res
-        if best_res < 1e-13:
+        if best_res < FIT_TOL:
             break
-    # a global readout rescale can still shave the residual
-    v_fit = realized(best_p)
-    w_out, b_out = w.copy(), best_p[L]
-    denom = float(v_fit @ v_fit)
-    if denom > 0:
-        c = float(v_fit @ v_target) / denom
-        if np.max(np.abs(c * v_fit - v_target)) < best_res:
-            w_out, b_out = c * w, c * b_out
-            best_res = float(np.max(np.abs(c * v_fit - v_target)))
-    layers = [LayerSpec(float(th), c) for th, c in zip(best_p[:L], couplings)]
-    model = ReuploadModel(poly.n_qubits, layers, w_out, b_out)
-    return CompiledCircuit(model, list(range(1, L + 1)), residual=best_res)
+    return CompiledCircuit(circuit(best_p), list(range(1, L + 1)), residual=best_res)
+
+
+def _fit_univariate(poly: PolynomialSpec) -> CompiledCircuit:
+    """Starts at the small-angle circuit, then at random angles with its readout."""
+    model = compile_univariate_delta(poly, 1e-2).model
+    readout = np.concatenate([model.readout_w, [model.readout_b]])
+    rng = np.random.default_rng(FIT_SEED)
+    starts = [np.concatenate([[l.theta for l in model.layers], readout])]
+    starts += [np.concatenate([rng.normal(scale=0.3, size=len(model.layers)), readout])
+               for _ in range(4)]
+    return _fit_gauss_newton(poly, starts)
 
 
 def _fit_single_monomial(poly: PolynomialSpec) -> CompiledCircuit:
@@ -557,47 +557,26 @@ def _fit_kick_family(poly: PolynomialSpec) -> CompiledCircuit:
     return CompiledCircuit(best_model, [1, 3, 5], residual=best_res)
 
 
-def _fit_general(poly: PolynomialSpec, tol: float, max_iter: int, seed: int) -> CompiledCircuit:
-    """Plain damped Gauss-Newton over all angles and the readout."""
-    couplings = schedule_layers(poly)
+def _fit_general(poly: PolynomialSpec) -> CompiledCircuit:
+    """Five random starts over all angles and the readout."""
     var_seq = _schedule_variables(poly)
     if int(np.prod([var_seq.count(v) + 1 for v in set(var_seq)])) > 4096:
         raise CompileError("target spans too many coefficients to certify")
-    L = len(couplings)
-
-    def circuit(p):
-        layers = [LayerSpec(float(th), c) for th, c in zip(p[:L], couplings)]
-        return ReuploadModel(poly.n_qubits, layers, p[L : L + 3], float(p[L + 3]))
-
-    target = None
-
-    def residual_vec(p):
-        nonlocal target
-        a, target = _coefficient_system(circuit(p), poly, target)
-        return a @ np.concatenate([p[L : L + 3], [p[L + 3]]]) - target
-
-    rng = np.random.default_rng(seed)
-    best_p, best_res = None, np.inf
-    for trial in range(5):
-        p = np.concatenate([rng.normal(scale=0.4, size=L), rng.normal(scale=0.5, size=3), [poly.c0]])
-        p, res = _damped_gauss_newton(residual_vec, p, max_iter, 1e-12)
-        if res < best_res:
-            best_p, best_res = p, res
-        if best_res < tol:
-            break
-    circ = CompiledCircuit(circuit(best_p), _block_starts(poly), residual=best_res)
-    return circ
+    rng = np.random.default_rng(FIT_SEED)
+    starts = [np.concatenate([rng.normal(scale=0.4, size=len(var_seq)), rng.normal(scale=0.5, size=3),
+                              [poly.c0]]) for _ in range(5)]
+    return _fit_gauss_newton(poly, starts)
 
 
-def fit_coefficients(poly: PolynomialSpec, max_iter: int = 100, tol: float = 1e-6,
-                     seed: int = 0) -> CompiledCircuit:
+def fit_coefficients(poly: PolynomialSpec) -> CompiledCircuit:
     """Fit circuit parameters so the readout matches the target polynomial.
 
-    Dispatch: univariate targets get a small-angle seed plus Gauss-Newton
-    refinement; a single monomial is realized exactly one-hot; two or three
-    single-variable squares use dedicated constructions; anything else falls
-    back to multistart Gauss-Newton.  Raises CompileError carrying the best
-    circuit if the residual stays above tol.
+    Dispatch: a single monomial in several variables is realized exactly
+    one-hot and two or three single-variable squares use dedicated
+    constructions.  Every other target goes to the one Gauss-Newton fit
+    (_fit_gauss_newton): univariate targets start from the small-angle
+    circuit, the rest from random points.  Raises CompileError carrying the
+    best circuit if the residual stays above FIT_TOL.
     """
     nvars = len(poly.variables)
     if nvars == 0:
@@ -605,7 +584,7 @@ def fit_coefficients(poly: PolynomialSpec, max_iter: int = 100, tol: float = 1e-
                               np.zeros(3), poly.c0)
         return CompiledCircuit(model, [], residual=0.0)
     if nvars == 1:
-        circ = _fit_univariate(poly, max_iter, seed)
+        circ = _fit_univariate(poly)
     elif len(poly.monomials) == 1:
         circ = _fit_single_monomial(poly)
     elif _is_diag_quadratic(poly) and len(poly.monomials) == 2:
@@ -613,9 +592,9 @@ def fit_coefficients(poly: PolynomialSpec, max_iter: int = 100, tol: float = 1e-
     elif _is_diag_quadratic(poly) and len(poly.monomials) == 3:
         circ = _fit_kick_family(poly)
     else:
-        circ = _fit_general(poly, tol, max_iter, seed)
-    if circ.residual > tol:
+        circ = _fit_general(poly)
+    if circ.residual > FIT_TOL:
         raise CompileError(
-            f"fit stopped at residual {circ.residual:.3e} > tol {tol:.1e}", circ
+            f"fit stopped at residual {circ.residual:.3e} > tol {FIT_TOL:.1e}", circ
         )
     return circ

@@ -33,6 +33,8 @@ ENTROPY_LABEL_THRESHOLD = 0.3 * np.log(2.0)
 BAND_EDGE = 0.5
 
 DATASET_TASKS = ("purity", "entropy", "band", "double-band", "psi-grid")
+# meta scalars a prediction histogram can bin over, first match wins
+META_KEYS = ("purity", "entropy", "r3", "lambda")
 
 
 @dataclass
@@ -55,11 +57,9 @@ class DensityMatrix:
             self.n_qubits = n
         elif self.n_qubits != n:
             raise ValueError(f"n_qubits {self.n_qubits} does not match dim {self.matrix.shape[0]}")
-        # any non-finite entry leaves a NaN or inf in the Hermiticity error
-        herm_err = np.max(np.abs(self.matrix - self.matrix.conj().T))
-        if not math.isfinite(herm_err):
+        if not np.isfinite(self.matrix).all():
             raise ValueError("density matrix has non-finite entries")
-        if herm_err > STATE_ATOL:
+        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > STATE_ATOL:
             raise ValueError("density matrix is not Hermitian within 1e-10")
         if abs(np.trace(self.matrix).real - 1.0) > STATE_ATOL or abs(np.trace(self.matrix).imag) > STATE_ATOL:
             raise ValueError("density matrix does not have unit trace")
@@ -253,8 +253,9 @@ def read_dataset(path) -> list:
     """Read a JSONL dataset, revalidating every state.
 
     n must be a positive JSON integer and label a finite JSON number (not
-    a bool), and every state must have the first record's qubit count;
-    errors name the file and line.
+    a bool), and every state must have the first record's qubit count.  meta
+    must be a JSON object whose META_KEYS are finite JSON numbers, the same
+    keys in every record.  Errors name the file and line.
     """
     out = []
     with open(path) as fh:
@@ -267,14 +268,25 @@ def read_dataset(path) -> list:
                 n = json_int(rec["n"], "n")
                 label = json_number(rec["label"], "label")
                 state = DensityMatrix(_matrix_from_json(rec["matrix"]), n)
-                item = LabeledState(state, label, dict(rec.get("meta", {})))
+                meta = rec.get("meta", {})
+                if not isinstance(meta, dict):
+                    raise ValueError(f"meta must be a JSON object, got {json.dumps(meta)}")
+                item = LabeledState(state, label, dict(meta))
                 if not math.isfinite(item.label):
                     raise ValueError("label must be finite")
+                keys = [k for k in META_KEYS if k in meta]
+                for k in keys:
+                    if not math.isfinite(json_number(meta[k], f"meta {k}")):
+                        raise ValueError(f"meta {k} must be finite")
                 if out and state.n_qubits != out[0].state.n_qubits:
                     raise ValueError(
                         f"state has {state.n_qubits} qubits, the first record "
                         f"has {out[0].state.n_qubits}"
                     )
+                if not out:
+                    first_keys = keys
+                elif keys != first_keys:
+                    raise ValueError(f"meta has histogram keys {keys}, the first record has {first_keys}")
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc}") from exc
             out.append(item)

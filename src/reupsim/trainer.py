@@ -34,11 +34,9 @@ from .channel import (
     rz_bloch,
     sample_shots,
 )
-from .states import pauli_coeffs
+from .states import META_KEYS, pauli_coeffs
 
 HISTOGRAM_BINS = 30
-# meta scalar used for prediction histograms, first match wins
-META_KEYS = ("purity", "entropy", "r3", "lambda")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -141,12 +139,13 @@ def _loss_terms(f: np.ndarray, y: np.ndarray, config: TrainConfig):
         resid = f - y
         return float(np.mean(resid**2)), 2.0 * resid / f.size
     z = LOGISTIC_SCALE * (f - CLASSIFICATION_THRESHOLD)
-    p = _sigmoid(z)
+    # q = 1 - p without the cancellation of 1.0 - p when p nears 1
+    p, q = _sigmoid(z), _sigmoid(-z)
     tiny = 1e-12
-    loss = -float(np.mean(y * np.log(p + tiny) + (1.0 - y) * np.log(1.0 - p + tiny)))
+    loss = -float(np.mean(y * np.log(p + tiny) + (1.0 - y) * np.log(q + tiny)))
     # exact derivative of the guarded loss, so it matches gradient_fd of it
-    dldp = y / (p + tiny) - (1.0 - y) / (1.0 - p + tiny)
-    return loss, -LOGISTIC_SCALE * p * (1.0 - p) * dldp / f.size
+    dldp = y / (p + tiny) - (1.0 - y) / (q + tiny)
+    return loss, -LOGISTIC_SCALE * p * q * dldp / f.size
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +261,10 @@ def _generator_gradient(generator: HermitianGenerator, g: np.ndarray) -> np.ndar
     return np.einsum("kab,ba->k", words[1:], q).real / 2**n_qubits
 
 
-def _loss_gradient(model: ReuploadModel, lam, y, config: TrainConfig, forward=None):
-    """Exact-expectation loss gradient in pack_params order.
+def _loss_gradient(model: ReuploadModel, lam, forward, dldf: np.ndarray) -> np.ndarray:
+    """Loss gradient in pack_params order from forward = _forward_states(model,
+    lam) and the loss's derivative dldf in the exact outputs.
 
-    forward is _forward_states(model, lam) when the caller already has it.
     Per layer, one adjoint contraction over the samples gives
     G[i, j, alpha] = dloss/dt[i, j, alpha] for the layer's transfer tensor t.
     Every tensor is its coupling's tensor t_C turned by the signal z-rotation
@@ -275,9 +274,7 @@ def _loss_gradient(model: ReuploadModel, lam, y, config: TrainConfig, forward=No
     axis with Omega[x, y] = -1, Omega[y, x] = 1.
     """
     n = lam.shape[0]
-    tensors, maps, prefixes = forward if forward is not None else _forward_states(model, lam)
-    f = prefixes[-1] @ model.readout_w + model.readout_b
-    loss, dldf = _loss_terms(f, y, config)
+    tensors, maps, prefixes = forward
 
     # readout vector pulled back to just after each layer
     u = np.broadcast_to(model.readout_w, (n, 3))
@@ -300,7 +297,14 @@ def _loss_gradient(model: ReuploadModel, lam, y, config: TrainConfig, forward=No
             grads.append(np.array([np.sum(g[:, 1] * t[:, 2]) - np.sum(g[:, 2] * t[:, 1])]))
     grads.append(dldf @ prefixes[-1])
     grads.append(np.array([np.sum(dldf)]))
-    return loss, np.concatenate(grads)
+    return np.concatenate(grads)
+
+
+def _batch_gradient(model: ReuploadModel, lam, y, config: TrainConfig) -> np.ndarray:
+    """Exact-expectation loss gradient on one batch, from its own forward pass."""
+    forward = _forward_states(model, lam)
+    f = _readout(forward[2][-1], model.readout_w, model.readout_b, 0, None)
+    return _loss_gradient(model, lam, forward, _loss_terms(f, y, config)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +337,8 @@ def train(model: ReuploadModel, train_set, test_set, config: TrainConfig = None)
         current = unpack_params(work, p)
         forward = _forward_states(current, lam)
         f = _readout(forward[2][-1], current.readout_w, current.readout_b, config.shots, rng)
-        history.append(_loss_terms(f, y, config)[0])
+        loss, dldf = _loss_terms(f, y, config)
+        history.append(loss)
         if not np.isfinite(history[-1]):
             raise RuntimeError(f"training loss became non-finite after {epoch} epochs")
         if epoch == config.max_epochs:
@@ -341,11 +346,15 @@ def train(model: ReuploadModel, train_set, test_set, config: TrainConfig = None)
         order = rng.permutation(n) if bs < n else None
         for start in range(0, n, bs):
             if order is None:
-                # full batch: the recorded loss's forward pass serves the gradient
-                _, g = _loss_gradient(current, lam, y, config, forward)
+                # full batch: the recorded loss's forward pass serves the
+                # gradient, and so does its dloss/df unless shots sampled f
+                if config.shots:
+                    f = _readout(forward[2][-1], current.readout_w, current.readout_b, 0, None)
+                    dldf = _loss_terms(f, y, config)[1]
+                g = _loss_gradient(current, lam, forward, dldf)
             else:
                 idx = order[start : start + bs]
-                _, g = _loss_gradient(unpack_params(work, p), lam[idx], y[idx], config)
+                g = _batch_gradient(unpack_params(work, p), lam[idx], y[idx], config)
             steps += 1
             m_adam = ADAM_BETA1 * m_adam + (1.0 - ADAM_BETA1) * g
             v_adam = ADAM_BETA2 * v_adam + (1.0 - ADAM_BETA2) * g * g

@@ -16,11 +16,11 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import (
-    PAULIS, exp_i_hermitian, haar_unitary, is_hermitian, is_unitary, kron, pauli_word_basis,
+    exp_i_hermitian, haar_unitary, is_hermitian, is_unitary, kron, pauli_word_basis,
     swap_permutation,
 )
 from .states import DensityMatrix, PauliWord, bloch_vector, purity, sample_bloch_ball
-from .channel import CouplingSpec, LayerSpec, apply_layer, rz_bloch, sample_shots
+from .channel import CouplingSpec, LayerSpec, apply_layer, hadamard_test, rz_bloch
 
 CORR_IMAG_ATOL = 1e-10
 DECOMP_ATOL = 1e-10
@@ -92,21 +92,8 @@ def swap_test_purity(rho: DensityMatrix, shots: int = 0, seed: int = 0) -> float
     The circuit H - controlled-SWAP - H leaves <Z> on the ancilla equal to
     tr(rho^2); shots > 0 replaces the exact value with a binomial estimate.
     """
-    d = rho.matrix.shape[0]
-    swap = swap_permutation(d)
-    cswap = np.block([
-        [np.eye(d * d), np.zeros((d * d, d * d))],
-        [np.zeros((d * d, d * d)), swap],
-    ])
-    h = kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(d * d))
-    u = h @ cswap @ h
-    state = kron(np.diag([1.0, 0.0]), kron(rho.matrix, rho.matrix))
-    final = u @ state @ u.conj().T
-    z_anc = kron(PAULIS[3], np.eye(d * d))
-    value = float(np.trace(final @ z_anc).real)
-    if shots == 0:
-        return value
-    return float(sample_shots(value, shots, np.random.default_rng(seed)))
+    pair = DensityMatrix(kron(rho.matrix, rho.matrix))
+    return hadamard_test(pair, swap_permutation(rho.dim), shots=shots, rng=np.random.default_rng(seed))
 
 
 def observation1_certificate(u: np.ndarray, v: np.ndarray, o: np.ndarray):

@@ -101,6 +101,25 @@ class TestTrain:
         assert code == 2
         assert f"{path}: line 3: label must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("meta, message", [
+        ({}, "meta has histogram keys [], the first record has ['r3']"),
+        ({"r3": float("nan")}, "meta r3 must be finite"),
+        ({"r3": "x"}, 'meta r3 must be a JSON number, got "x"'),
+    ], ids=["missing-key", "nan", "string"])
+    def test_bad_histogram_meta_is_usage_error(self, tmp_path, capsys, meta, message):
+        ds = tmp_path / "ds"
+        run(["gen-dataset", "--task", "band", "--train-size", 3,
+             "--test-size", 2, "--seed", 0, "--out", ds])
+        path = ds / "test.jsonl"
+        lines = path.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), "meta": meta})
+        path.write_text("\n".join(lines) + "\n")
+        code = run(["train", "--dataset", ds, "--layers", 1, "--epochs", 1,
+                    "--out", tmp_path / "out"])
+        assert code == 2
+        assert f"{path}: line 2: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_test_set_qubit_count_must_match(self, tmp_path, capsys):
         ds, other = tmp_path / "ds", tmp_path / "other"
         run(["gen-dataset", "--task", "band", "--train-size", 3,

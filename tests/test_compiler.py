@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from reupsim import compiler
 from reupsim.channel import CouplingSpec, LayerSpec, ReuploadModel, run_model
 from reupsim.compiler import (
     CompileError,
     CompiledCircuit,
     MonomialSpec,
     PolynomialSpec,
+    _circuit_residual,
     compile_univariate_delta,
     extract_coefficients,
     fit_coefficients,
@@ -311,12 +313,13 @@ class TestFit:
 
     def test_general_fallback(self):
         p = PolynomialSpec(1, 0.0, [MonomialSpec(0.7, {1: 1, 2: 1}), MonomialSpec(0.0, {3: 1})])
-        circ = fit_coefficients(p, seed=0)
+        circ = fit_coefficients(p)
         assert circ.residual <= 1e-8
 
-    def test_unreachable_tolerance_raises(self):
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(compiler, "FIT_TOL", 1e-9)
         with pytest.raises(CompileError) as err:
-            fit_coefficients(purity_spec(), tol=1e-9)
+            fit_coefficients(purity_spec())
         assert err.value.circuit is not None
         assert err.value.residual is not None
         assert 1e-9 < err.value.residual <= 1e-6
@@ -326,3 +329,16 @@ class TestFit:
         assert isinstance(circ, CompiledCircuit)
         assert len(circ.model.layers) == 6
         assert set(circ.active_layers) <= set(range(1, 7))
+
+    @pytest.mark.parametrize("poly", [
+        PolynomialSpec(1, 0.2, [MonomialSpec(-0.5, {3: 1}), MonomialSpec(0.4, {3: 2}),
+                                MonomialSpec(0.3, {3: 3})]),
+        PolynomialSpec(2, 0.1, [MonomialSpec(0.6, {5: 1, 10: 1})]),
+        PolynomialSpec(1, 0.05, [MonomialSpec(0.4, {1: 2}), MonomialSpec(-0.3, {2: 2})]),
+        PolynomialSpec(1, 0.0, [MonomialSpec(0.3, {1: 2}), MonomialSpec(0.2, {2: 2}),
+                                MonomialSpec(-0.25, {3: 2})]),
+        PolynomialSpec(1, 0.1, [MonomialSpec(0.3, {1: 1, 2: 1}), MonomialSpec(0.2, {3: 1})]),
+    ], ids=["univariate", "monomial", "two_squares", "kick", "general"])
+    def test_reported_residual_is_the_models(self, poly):
+        circ = fit_coefficients(poly)
+        assert circ.residual == _circuit_residual(circ.model, poly)

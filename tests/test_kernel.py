@@ -37,7 +37,7 @@ from reupsim.states import (
     sample_haar_pure,
     write_dataset,
 )
-from reupsim.trainer import TrainConfig, _labels, _lam_ext, _loss_gradient, gradient_fd
+from reupsim.trainer import TrainConfig, _batch_gradient, _labels, _lam_ext, gradient_fd
 
 
 @st.composite
@@ -163,7 +163,7 @@ def test_loss_gradient_equals_finite_differences(model, pure, loss, seed):
     batch = [LabeledState(random_state(model.n_qubits, p, rng), float(y), {})
              for p, y in zip(pure, labels)]
     cfg = TrainConfig(loss=loss)
-    _, g = _loss_gradient(model, _lam_ext(batch, model.n_qubits), _labels(batch), cfg)
+    g = _batch_gradient(model, _lam_ext(batch, model.n_qubits), _labels(batch), cfg)
     np.testing.assert_allclose(g, gradient_fd(model, batch, cfg), rtol=0, atol=1e-6)
 
 

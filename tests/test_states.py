@@ -187,6 +187,13 @@ def test_read_dataset_reports_line_number(tmp_path):
         good.replace('"n": 1', '"n": 0'),
         good.replace('"label": 0.0', '"label": true'),
         good.replace('"label": 0.0', '"label": "0.5"'),
+        good.replace('"meta": {}', '"meta": [["r3", 0.5]]'),
+        good.replace('"meta": {}', '"meta": "r3"'),
+        good.replace('"meta": {}', '"meta": {"r3": NaN}'),
+        good.replace('"meta": {}', '"meta": {"purity": Infinity}'),
+        good.replace('"meta": {}', '"meta": {"r3": "x"}'),
+        good.replace('"meta": {}', '"meta": {"lambda": true}'),
+        good.replace('"meta": {}', '"meta": {"entropy": 0.1}'),
     ]
     for bad in bad_lines:
         path.write_text(good + "\n" + bad + "\n")

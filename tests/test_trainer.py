@@ -23,10 +23,10 @@ from reupsim.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    _batch_gradient,
     _forward,
     _lam_ext,
     _labels,
-    _loss_gradient,
     _loss_terms,
     _readout,
 )
@@ -179,7 +179,7 @@ class TestGradientFD:
                 model = random_model(n_qubits, n_layers, seed=4)
                 for loss in ("mse", "logistic"):
                     cfg = TrainConfig(loss=loss)
-                    _, g_engine = _loss_gradient(model, lam, y, cfg)
+                    g_engine = _batch_gradient(model, lam, y, cfg)
                     np.testing.assert_allclose(g_engine, gradient_fd(model, dataset, cfg),
                                                rtol=0, atol=1e-6,
                                                err_msg=f"n={n_qubits} L={n_layers} {loss}")
@@ -189,7 +189,16 @@ class TestGradientFD:
         dataset, _ = generate_dataset("purity", 10, 2, seed=3)
         model = random_model(1, 1, seed=5)
         cfg = TrainConfig(loss="logistic")
-        _, g_engine = _loss_gradient(model, _lam_ext(dataset, 1), _labels(dataset), cfg)
+        g_engine = _batch_gradient(model, _lam_ext(dataset, 1), _labels(dataset), cfg)
+        np.testing.assert_allclose(g_engine, gradient_fd(model, dataset, cfg), rtol=0, atol=1e-6)
+
+    def test_engine_logistic_near_one(self):
+        # the kept x component gives f = 2, p = 1 - 3e-7, on every state; on
+        # class-0 states the loss must not take 1 - p by subtraction
+        dataset, _ = generate_dataset("purity", 10, 2, seed=3)
+        model = ReuploadModel(1, [LayerSpec(0.0, CouplingSpec.cnot())], np.array([1.0, 0.0, 0.0]), 1.0)
+        cfg = TrainConfig(loss="logistic")
+        g_engine = _batch_gradient(model, _lam_ext(dataset, 1), _labels(dataset), cfg)
         np.testing.assert_allclose(g_engine, gradient_fd(model, dataset, cfg), rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("loss", ["mse", "logistic"])
@@ -205,7 +214,7 @@ class TestGradientFD:
         model = ReuploadModel(1, layers, rng.normal(size=3), 0.2)
         dataset, _ = generate_dataset("band", 12, 2, seed=6)
         cfg = TrainConfig(loss=loss)
-        _, g_engine = _loss_gradient(model, _lam_ext(dataset, 1), _labels(dataset), cfg)
+        g_engine = _batch_gradient(model, _lam_ext(dataset, 1), _labels(dataset), cfg)
         np.testing.assert_allclose(g_engine, gradient_fd(model, dataset, cfg), rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("n_qubits, word", [(1, None), (1, (3, 3)), (2, None), (2, (3, 3, 0))])
@@ -220,7 +229,7 @@ class TestGradientFD:
         task = "purity" if n_qubits == 1 else "entropy"
         dataset, _ = generate_dataset(task, 10, 2, seed=7)
         cfg = TrainConfig(loss="mse")
-        _, g_engine = _loss_gradient(model, _lam_ext(dataset, n_qubits), _labels(dataset), cfg)
+        g_engine = _batch_gradient(model, _lam_ext(dataset, n_qubits), _labels(dataset), cfg)
         np.testing.assert_allclose(g_engine, gradient_fd(model, dataset, cfg), rtol=0, atol=1e-6)
 
 
@@ -320,7 +329,7 @@ def replayed_history(model: ReuploadModel, data, cfg: TrainConfig) -> list:
         order = rng.permutation(n) if bs < n else np.arange(n)
         for start in range(0, n, bs):
             idx = order[start : start + bs]
-            _, g = _loss_gradient(unpack_params(model, p), lam[idx], y[idx], cfg)
+            g = _batch_gradient(unpack_params(model, p), lam[idx], y[idx], cfg)
             steps += 1
             m_adam = ADAM_BETA1 * m_adam + (1.0 - ADAM_BETA1) * g
             v_adam = ADAM_BETA2 * v_adam + (1.0 - ADAM_BETA2) * g * g
