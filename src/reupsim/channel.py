@@ -314,6 +314,14 @@ def hadamard_test(rho: DensityMatrix, u: np.ndarray, imag: bool = False,
         raise ValueError(f"unitary shape {u.shape} does not match state dimension {d}")
     if not is_unitary(u):
         raise ValueError("operator is not unitary within 1e-10")
+    return hadamard_test_unchecked(rho.matrix, u, imag, shots, rng)
+
+
+def hadamard_test_unchecked(rho: np.ndarray, u: np.ndarray, imag: bool = False,
+                            shots: int = 0, rng=None) -> float:
+    """hadamard_test on a d x d density matrix and a d x d unitary that the
+    caller has already validated."""
+    d = rho.shape[0]
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     eye = np.eye(d)
     cu = np.zeros((2 * d, 2 * d), dtype=complex)
@@ -322,7 +330,7 @@ def hadamard_test(rho: DensityMatrix, u: np.ndarray, imag: bool = False,
     phase = kron(np.diag([1.0, -1j]), eye) if imag else np.eye(2 * d)
     full = kron(h, eye) @ phase @ cu @ kron(h, eye)
     joint = np.zeros((2 * d, 2 * d), dtype=complex)
-    joint[:d, :d] = rho.matrix
+    joint[:d, :d] = rho
     out = full @ joint @ full.conj().T
     val = float(np.trace(kron(PAULIS[3], eye) @ out).real)
     if shots:

@@ -224,7 +224,7 @@ def cmd_verify(args) -> int:
         reports.append(report)
         status = "PASS" if report["pass"] else "FAIL"
         print(f"{report['check_name']}: max violation {_sig4(report['max_violation'])} "
-              f"over {report['trials']} trials  {status}")
+              f"at trial {report['worst_trial']} over {report['trials']} trials  {status}")
     if args.out:
         payload = reports[0] if args.check else reports
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")

@@ -51,13 +51,15 @@ def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str = "A") -> np.
 
 
 def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
+    """True when m, or every matrix of a (..., d, d) stack, is Hermitian within atol."""
     m = np.asarray(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= atol)
+    return bool(np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= atol)
 
 
 def is_unitary(m: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
+    """True when m, or every matrix of a (..., d, d) stack, is unitary within atol."""
     m = np.asarray(m)
-    return bool(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= atol)
+    return bool(np.max(np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(m.shape[-1]))) <= atol)
 
 
 def _int_log2(d: int) -> int:
@@ -170,7 +172,8 @@ class HermitianGenerator:
 
 
 def exp_i_hermitian(h) -> np.ndarray:
-    """exp(i*H) for a Hermitian matrix or HermitianGenerator, via eig.
+    """exp(i*H) for a Hermitian matrix, a (..., d, d) stack of them, or a
+    HermitianGenerator, via eig.
 
     exp(iH) = sum_k exp(i vals_k) |v_k><v_k|; the result is unitary to 1e-10.
     """
@@ -180,7 +183,7 @@ def exp_i_hermitian(h) -> np.ndarray:
     if not is_hermitian(h):
         raise ValueError("generator is not Hermitian within 1e-12")
     vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+    return (vecs * np.exp(1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def unitary_to_generator(u: np.ndarray) -> HermitianGenerator:
@@ -203,8 +206,15 @@ def unitary_to_generator(u: np.ndarray) -> HermitianGenerator:
     return HermitianGenerator.from_matrix(h)
 
 
+def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries from a (..., d, d) stack of complex Ginibre
+    matrices: the Q of their QR with the phases of R's diagonal moved into it.
+    """
+    q, r = np.linalg.qr(z)
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return haar_from_ginibre(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))

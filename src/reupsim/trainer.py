@@ -395,6 +395,9 @@ def prediction_histogram(dataset, f: np.ndarray) -> list:
     key = next((k for k in META_KEYS if k in dataset[0].meta), None)
     if key is None:
         return []
+    missing = next((k for k, item in enumerate(dataset) if key not in item.meta), None)
+    if missing is not None:
+        raise ValueError(f"dataset item {missing} has no {key!r} in its meta, as item 0 has")
     x = np.array([item.meta[key] for item in dataset], dtype=float)
     lo, hi = float(np.min(x)), float(np.max(x))
     if hi <= lo:

@@ -6,6 +6,10 @@ correlation-matrix argument showing that a two-upload circuit measuring a
 single-qubit observable cannot compute purity (every reachable effective
 observable has a singular 3x3 correlation matrix, while any purity
 observable has determinant >= 1).
+
+The certificate algebra runs on stacks of trials along a leading axis; the
+single-instance functions are stacks of one.  A check that fails on a
+stack raises and names the trial.
 """
 
 from __future__ import annotations
@@ -16,11 +20,11 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import (
-    exp_i_hermitian, haar_unitary, is_hermitian, is_unitary, kron, pauli_word_basis,
+    exp_i_hermitian, haar_from_ginibre, is_hermitian, is_unitary, kron, pauli_word_basis,
     swap_permutation,
 )
 from .states import DensityMatrix, PauliWord, bloch_vector, purity, sample_bloch_ball
-from .channel import CouplingSpec, LayerSpec, apply_layer, hadamard_test, rz_bloch
+from .channel import CouplingSpec, LayerSpec, apply_layer, hadamard_test_unchecked, rz_bloch
 
 CORR_IMAG_ATOL = 1e-10
 DECOMP_ATOL = 1e-10
@@ -35,7 +39,15 @@ CHECK_TOLERANCES = {
     "swap-test": 1e-10,
 }
 
-_PAULI_PAIRS = pauli_word_basis(2).reshape(4, 4, 4, 4)[1:, 1:]  # [i-1, j-1]: sigma_i (x) sigma_j
+# Trials per stack.  Larger stacks run no faster, and a whole 1,000-trial
+# observation1 stack raises the process's peak memory by a few MB.
+TRIAL_BLOCK = 125
+
+_WORDS = pauli_word_basis(2)
+_PAULI_PAIRS = _WORDS.reshape(4, 4, 4, 4)[1:, 1:]  # [i-1, j-1]: sigma_i (x) sigma_j
+_SIGNAL_PAULIS = _WORDS[4::4]  # sigma_i (x) I, i = 1..3
+_SAME_INDEX_PAIRS = _WORDS[5::5]  # sigma_a (x) sigma_a, a = 1..3
+_SIGMA = pauli_word_basis(1)[1:]
 
 
 @dataclass
@@ -66,24 +78,39 @@ class PurityObservableParams:
             raise ValueError("expected six coefficients")
 
 
+def _require(holds, stack: np.ndarray, exc, message: str, first: int) -> None:
+    """Raise exc(message) naming the first trial of stack that fails holds;
+    the stack's trials are numbered from first."""
+    if not holds(stack):
+        k = next(k for k, item in enumerate(stack) if not holds(item))
+        raise exc(f"trial {first + k}: {message}")
+
+
+def _within(atol: float):
+    return lambda x: bool(np.max(np.abs(x)) <= atol)
+
+
+def _stack_of_one(m, shape: tuple, name: str) -> np.ndarray:
+    m = np.asarray(m, dtype=complex)
+    if m.shape != shape:
+        raise ValueError(f"{name} must be {shape[0]}x{shape[1]}, got {m.shape}")
+    return m[None]
+
+
+def _corr(m: np.ndarray, first: int = 0) -> np.ndarray:
+    """Real corr entries (T, ..., 3, 3) of a (T, ..., 4, 4) stack."""
+    out = 0.5 * np.einsum("...ab,ijba->...ij", m, _PAULI_PAIRS)
+    _require(_within(CORR_IMAG_ATOL), out.imag, ValueError,
+             "corr entries are not real; input is not Hermitian", first)
+    return out.real
+
+
 def corr(m: np.ndarray) -> CorrMatrix:
     """corr(M)_ij = tr(M (sigma_i x sigma_j)) / 2, for 4x4 Hermitian M."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"corr needs a 4x4 matrix, got {m.shape}")
-    out = 0.5 * np.einsum("ab,ijba->ij", m, _PAULI_PAIRS)
-    if np.max(np.abs(out.imag)) > CORR_IMAG_ATOL:
-        raise ValueError("corr entries are not real; input is not Hermitian")
-    return CorrMatrix(out.real)
-
-
-def _require_unitary(m: np.ndarray, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"{name} must be 4x4, got {m.shape}")
-    if not is_unitary(m):
-        raise ValueError(f"{name} is not unitary")
-    return m
+    return CorrMatrix(_corr(m[None])[0])
 
 
 def swap_test_purity(rho: DensityMatrix, shots: int = 0, seed: int = 0) -> float:
@@ -91,9 +118,44 @@ def swap_test_purity(rho: DensityMatrix, shots: int = 0, seed: int = 0) -> float
 
     The circuit H - controlled-SWAP - H leaves <Z> on the ancilla equal to
     tr(rho^2); shots > 0 replaces the exact value with a binomial estimate.
+    rho is already validated, so its two copies and the swap are not checked
+    again.
     """
-    pair = DensityMatrix(kron(rho.matrix, rho.matrix))
-    return hadamard_test(pair, swap_permutation(rho.dim), shots=shots, rng=np.random.default_rng(seed))
+    return hadamard_test_unchecked(kron(rho.matrix, rho.matrix), swap_permutation(rho.dim),
+                                   shots=shots, rng=np.random.default_rng(seed))
+
+
+def _o_x_i_sandwich(x: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """x^dag (o (x) I) x for stacks x (..., 4, 4) and o (..., 2, 2)."""
+    x = x.reshape(*x.shape[:-2], 2, 2, 4)
+    return np.einsum("...abm,...ac,...cbn->...mn", x.conj(), o, x)
+
+
+def _observation1(u: np.ndarray, v: np.ndarray, o: np.ndarray, first: int = 0):
+    """Correlation matrices (T, 3, 3) of the two-upload effective observable
+    and their dets (T,), for stacks u, v (T, 4, 4) and o (T, 2, 2)."""
+    _require(is_unitary, u, ValueError, "u is not unitary", first)
+    _require(is_unitary, v, ValueError, "v is not unitary", first)
+    _require(lambda m: is_hermitian(m, 1e-10), o, ValueError, "o must be Hermitian", first)
+
+    # kraus[t, k] = <k|_copy u |0>_copy, acting on the uploaded state
+    kraus = u.reshape(-1, 2, 2, 2, 2)[:, :, :, 0, :].swapaxes(1, 2)
+    completeness = np.einsum("tkab,tkac->tbc", kraus.conj(), kraus)
+    _require(_within(KRAUS_ATOL), completeness - np.eye(2), RuntimeError,
+             "Kraus operators of the first upload do not resolve the identity", first)
+
+    # J_k = v (K_k x I); the effective observable is sum_k J_k^dag (o x I) J_k
+    j = np.einsum("tmad,tkac->tkmcd", v.reshape(-1, 4, 2, 2), kraus).reshape(-1, 2, 4, 4)
+    t = _corr(_o_x_i_sandwich(j, o[:, None]).sum(axis=1), first)
+
+    # independent decomposition: t must factor through the first upload's
+    # Pauli transfer and the conjugated observable
+    c = _corr(_o_x_i_sandwich(v, o), first)
+    lam_sig = np.einsum("tkab,mbc,tkdc->tmad", kraus, _SIGMA, kraus.conj())
+    ctilde = 0.5 * np.einsum("mab,tiba->tmi", _SIGMA, lam_sig).real
+    _require(_within(DECOMP_ATOL), t - ctilde.swapaxes(-1, -2) @ c, RuntimeError,
+             "correlation decomposition check failed", first)
+    return t, np.linalg.det(t)
 
 
 def observation1_certificate(u: np.ndarray, v: np.ndarray, o: np.ndarray):
@@ -105,58 +167,40 @@ def observation1_certificate(u: np.ndarray, v: np.ndarray, o: np.ndarray):
     always has a singular correlation matrix, which is the obstruction to
     computing purity this way.  Returns (CorrMatrix, det).
     """
-    u = _require_unitary(u, "u")
-    v = _require_unitary(v, "v")
-    o = np.asarray(o, dtype=complex)
-    if o.shape != (2, 2):
-        raise ValueError(f"o must be 2x2, got {o.shape}")
-    if not is_hermitian(o, 1e-10):
-        raise ValueError("o must be Hermitian")
-
-    u4 = u.reshape(2, 2, 2, 2)
-    kraus = [u4[:, k, 0, :] for k in (0, 1)]
-    completeness = sum(k.conj().T @ k for k in kraus)
-    if np.max(np.abs(completeness - np.eye(2))) > KRAUS_ATOL:
-        raise RuntimeError("Kraus operators of the first upload do not resolve the identity")
-
-    otilde = kron(o, np.eye(2))
-    effective = np.zeros((4, 4), dtype=complex)
-    for k in kraus:
-        j = v @ kron(k, np.eye(2))
-        effective += j.conj().T @ otilde @ j
-    t = corr(effective)
-
-    # independent decomposition: t must factor through the first upload's
-    # Pauli transfer and the conjugated observable
-    q = v.conj().T @ otilde @ v
-    c = corr(q)
-    sig = pauli_word_basis(1)[1:]
-    lam_sig = sum(k @ sig @ k.conj().T for k in kraus)
-    ctilde = 0.5 * np.einsum("mab,iba->mi", sig, lam_sig).real
-    if np.max(np.abs(t.entries - ctilde.T @ c.entries)) > DECOMP_ATOL:
-        raise RuntimeError("correlation decomposition check failed")
-    return t, t.det
+    t, det = _observation1(_stack_of_one(u, (4, 4), "u"), _stack_of_one(v, (4, 4), "v"),
+                           _stack_of_one(o, (2, 2), "o"))
+    return CorrMatrix(t[0]), float(det[0])
 
 
-def purity_observable(params: PurityObservableParams) -> np.ndarray:
-    """The general two-copy observable with tr((rho x rho) O) = tr(rho^2)."""
-    if not isinstance(params, PurityObservableParams):
-        params = PurityObservableParams(np.asarray(params, dtype=float))
-    c1, c2, c3, c4, c5, c6 = params.c
+def _unit(a: int, b: int) -> np.ndarray:
+    m = np.zeros((4, 4), dtype=complex)
+    m[a - 1, b - 1] = 1.0
+    return m
 
-    def unit(a: int, b: int) -> np.ndarray:
-        m = np.zeros((4, 4), dtype=complex)
-        m[a - 1, b - 1] = 1.0
-        return m
 
-    o = swap_permutation(2).astype(complex)
-    o += c1 * 1j * (unit(2, 3) - unit(3, 2))
-    o += c2 * (unit(2, 2) - unit(3, 3))
-    o += (c3 + c4 * 1j) * (unit(1, 2) - unit(1, 3))
-    o += (c3 - c4 * 1j) * (unit(2, 1) - unit(3, 1))
-    o += (c5 + c6 * 1j) * (unit(2, 4) - unit(3, 4))
-    o += (c5 - c6 * 1j) * (unit(4, 2) - unit(4, 3))
-    return o
+# purity_observable is the swap plus sum_j c_j _PURITY_DIRECTIONS[j]
+_PURITY_DIRECTIONS = np.array([
+    1j * (_unit(2, 3) - _unit(3, 2)),
+    _unit(2, 2) - _unit(3, 3),
+    (_unit(1, 2) - _unit(1, 3)) + (_unit(2, 1) - _unit(3, 1)),
+    1j * (_unit(1, 2) - _unit(1, 3)) - 1j * (_unit(2, 1) - _unit(3, 1)),
+    (_unit(2, 4) - _unit(3, 4)) + (_unit(4, 2) - _unit(4, 3)),
+    1j * (_unit(2, 4) - _unit(3, 4)) - 1j * (_unit(4, 2) - _unit(4, 3)),
+])
+
+
+def purity_observable(params) -> np.ndarray:
+    """The general two-copy observable with tr((rho x rho) O) = tr(rho^2).
+
+    A (T, 6) array of coefficients gives a (T, 4, 4) stack.
+    """
+    if isinstance(params, PurityObservableParams):
+        c = params.c
+    else:
+        c = np.asarray(params, dtype=float)
+        if c.shape[-1:] != (6,):
+            raise ValueError("expected six coefficients")
+    return swap_permutation(2) + np.einsum("...j,jab->...ab", c, _PURITY_DIRECTIONS)
 
 
 @lru_cache(maxsize=1)
@@ -171,18 +215,30 @@ def _purity_probes():
     return two_copy, purities
 
 
+def _purity_observable_dets(o: np.ndarray, first: int = 0) -> np.ndarray:
+    """det(corr(O)) for a (T, 4, 4) stack of purity observables, after
+    re-deriving tr((rho x rho) O) = tr(rho^2) on the probe states."""
+    two_copy, purities = _purity_probes()
+    got = np.einsum("pab,tba->tp", two_copy, o).real
+    _require(_within(1e-10), got - purities, RuntimeError,
+             "observable family does not evaluate purity", first)
+    return np.linalg.det(_corr(o, first))
+
+
 def purity_observable_det(params: PurityObservableParams) -> float:
     """det(corr(O)) for the purity observable family; always >= 1.
 
     Also re-derives tr((rho x rho) O) = tr(rho^2) on 50 fixed sampled states
     as a guard against construction mistakes.
     """
-    o = purity_observable(params)
-    two_copy, purities = _purity_probes()
-    got = np.trace(two_copy @ o, axis1=1, axis2=2).real
-    if np.max(np.abs(got - purities)) > 1e-10:
-        raise RuntimeError("observable family does not evaluate purity")
-    return corr(o).det
+    return float(_purity_observable_dets(purity_observable(params)[None])[0])
+
+
+def _ksigma_corrs(k: np.ndarray, first: int = 0) -> np.ndarray:
+    """corr of sigma_i x I conjugated by exp(i k . Sigma), for i = 1..3 and a
+    (T, 3) stack of k: (T, 3, 3, 3), one exp(i k . Sigma) per trial."""
+    w = exp_i_hermitian(np.einsum("ta,aij->tij", k, _SAME_INDEX_PAIRS))
+    return _corr(np.einsum("tba,ibc,tcd->tiad", w.conj(), _SIGNAL_PAULIS, w), first)
 
 
 def ksigma_corr(k, i: int) -> CorrMatrix:
@@ -197,9 +253,7 @@ def ksigma_corr(k, i: int) -> CorrMatrix:
     k = np.asarray(k, dtype=float)
     if k.shape != (3,):
         raise ValueError("k must be a real 3-vector")
-    words = pauli_word_basis(2)  # sigma_a (x) sigma_a is word 5a, sigma_i (x) I word 4i
-    w = exp_i_hermitian(np.einsum("a,aij->ij", k, words[5::5]))
-    return corr(w.conj().T @ words[4 * i] @ w)
+    return CorrMatrix(_ksigma_corrs(k[None])[0, i - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +266,23 @@ def _random_density(n_qubits: int, rng) -> DensityMatrix:
     return DensityMatrix(m / np.trace(m).real, n_qubits)
 
 
-def _random_hermitian2(rng) -> np.ndarray:
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    return (g + g.conj().T) / 2
+def _report(name: str, violations) -> dict:
+    """A check's report; worst_trial is the 0-based index of the trial with
+    the largest violation, which --trials worst_trial + 1 replays last."""
+    violations = np.asarray(violations, dtype=float)
+    k = int(np.argmax(violations))
+    worst = float(violations[k])
+    return {"check_name": name, "trials": len(violations), "max_violation": worst,
+            "worst_trial": k, "pass": bool(worst <= CHECK_TOLERANCES[name])}
 
 
-def _report(name: str, trials: int, worst: float) -> dict:
-    return {"check_name": name, "trials": trials, "max_violation": float(worst),
-            "pass": bool(worst <= CHECK_TOLERANCES[name])}
+def _blockwise(violations, trials: int) -> np.ndarray:
+    """Per-trial violations of a stacked check: violations(n, first) draws
+    and certifies the next n <= TRIAL_BLOCK trials from the check's one
+    stream, first being the index of the block's first trial.  Trial k's
+    inputs are the same whatever the block size or the number of trials."""
+    return np.concatenate([violations(min(TRIAL_BLOCK, trials - first), first)
+                           for first in range(0, trials, TRIAL_BLOCK)])
 
 
 def evolution_formula_check(trials: int = 200, seed: int = 0) -> dict:
@@ -227,7 +290,7 @@ def evolution_formula_check(trials: int = 200, seed: int = 0) -> dict:
     x component and has y, z scaled by the uploaded state's coefficient.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    violations = []
     for _ in range(trials):
         n = int(rng.integers(1, 3))
         alpha = int(rng.integers(1, 4**n))
@@ -240,35 +303,52 @@ def evolution_formula_check(trials: int = 200, seed: int = 0) -> dict:
         lam = float(np.trace(rho.matrix @ pauli_word_basis(n)[word.index]).real)
         tilted = rz_bloch(theta) @ bloch_vector(tau)
         want = np.array([tilted[0], lam * tilted[1], lam * tilted[2]])
-        worst = max(worst, float(np.max(np.abs(out - want))))
-    return _report("evolution-formula", trials, worst)
+        violations.append(np.max(np.abs(out - want)))
+    return _report("evolution-formula", violations)
+
+
+def _observation1_draws(rng, n: int):
+    """u, v (n, 4, 4) and o (n, 2, 2) from one (n, 72) normal draw, equal to
+    what n trials of haar_unitary(4), haar_unitary(4) and the Hermitian part
+    of a complex Ginibre 2x2 draw one by one, real parts first."""
+    g = rng.normal(size=(n, 72))
+    z = g[:, :64].reshape(n, 2, 2, 4, 4)  # [u or v, real or imaginary part]
+    uv = haar_from_ginibre(z[:, :, 0] + 1j * z[:, :, 1])
+    w = g[:, 64:].reshape(n, 2, 2, 2)
+    o = w[:, 0] + 1j * w[:, 1]
+    return uv[:, 0], uv[:, 1], (o + o.conj().swapaxes(-1, -2)) / 2
 
 
 def observation1_check(trials: int = 1000, seed: int = 0) -> dict:
     """Haar-random two-upload circuits: effective corr matrix always singular."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        u = haar_unitary(4, rng)
-        v = haar_unitary(4, rng)
-        o = _random_hermitian2(rng)
-        _, det = observation1_certificate(u, v, o)
-        worst = max(worst, abs(det))
-    return _report("observation1", trials, worst)
+
+    def violations(n, first):
+        return np.abs(_observation1(*_observation1_draws(rng, n), first)[1])
+
+    return _report("observation1", _blockwise(violations, trials))
 
 
 def purity_observable_check(trials: int = 200, seed: int = 0) -> dict:
     """Every purity observable has det(corr) = 1 + c1^2 + (c3+c5)^2 + (c4+c6)^2."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        c = rng.uniform(-2.0, 2.0, size=6)
-        det = purity_observable_det(PurityObservableParams(c))
-        closed = 1.0 + c[0] ** 2 + (c[2] + c[4]) ** 2 + (c[3] + c[5]) ** 2
-        worst = max(worst, abs(det - closed))
-        if det < 1.0 - 1e-10:
-            worst = max(worst, 1.0 - det)
-    return _report("purity-observable", trials, worst)
+
+    def violations(n, first):
+        c = rng.uniform(-2.0, 2.0, size=(n, 6))
+        det = _purity_observable_dets(purity_observable(c), first)
+        closed = 1.0 + c[:, 0] ** 2 + (c[:, 2] + c[:, 4]) ** 2 + (c[:, 3] + c[:, 5]) ** 2
+        gap = np.abs(det - closed)
+        return np.where(det < 1.0 - 1e-10, np.maximum(gap, 1.0 - det), gap)
+
+    return _report("purity-observable", _blockwise(violations, trials))
+
+
+def _ksigma_draws(rng, n: int) -> np.ndarray:
+    """(n, 6): per trial k uniform in [-pi, pi)^3, then three weights uniform
+    in [-1, 1), scaled from one rng.random draw as rng.uniform scales them."""
+    low = np.array([-np.pi] * 3 + [-1.0] * 3)
+    high = -low
+    return low + (high - low) * rng.random((n, 6))
 
 
 def ksigma_check(trials: int = 200, seed: int = 0) -> dict:
@@ -276,24 +356,23 @@ def ksigma_check(trials: int = 200, seed: int = 0) -> dict:
     always combine to a singular matrix.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        k = rng.uniform(-np.pi, np.pi, size=3)
-        combo = sum(
-            rng.uniform(-1.0, 1.0) * ksigma_corr(k, i).entries for i in (1, 2, 3)
-        )
-        worst = max(worst, abs(np.linalg.det(combo)))
-    return _report("ksigma", trials, worst)
+
+    def violations(n, first):
+        x = _ksigma_draws(rng, n)
+        combo = np.einsum("ti,tijk->tjk", x[:, 3:], _ksigma_corrs(x[:, :3], first))
+        return np.abs(np.linalg.det(combo))
+
+    return _report("ksigma", _blockwise(violations, trials))
 
 
 def swap_test_check(trials: int = 100, seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    violations = []
     for _ in range(trials):
         n = int(rng.integers(1, 3))
         rho = _random_density(n, rng)
-        worst = max(worst, abs(swap_test_purity(rho) - purity(rho)))
-    return _report("swap-test", trials, worst)
+        violations.append(abs(swap_test_purity(rho) - purity(rho)))
+    return _report("swap-test", violations)
 
 
 CHECKS = {

@@ -5,8 +5,11 @@ from reupsim.linalg import (
     PAULIS,
     HermitianGenerator,
     exp_i_hermitian,
+    haar_from_ginibre,
     haar_unitary,
     index_to_letters,
+    is_hermitian,
+    is_unitary,
     kron,
     letters_to_index,
     partial_trace,
@@ -138,3 +141,26 @@ def test_unitary_to_generator_conjugates_identically():
 def test_haar_unitary_is_unitary():
     u = haar_unitary(4, np.random.default_rng(7))
     assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-10
+
+
+def test_stacked_predicates_and_exp_match_per_matrix_loop():
+    rng = np.random.default_rng(8)
+    hs = np.array([random_hermitian(4, rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+    us = exp_i_hermitian(hs)
+    for idx in np.ndindex(2, 3):
+        np.testing.assert_array_equal(us[idx], exp_i_hermitian(hs[idx]))
+    assert is_hermitian(hs) and is_unitary(us)
+    for idx in np.ndindex(2, 3):
+        bad_h, bad_u = hs.copy(), us.copy()
+        bad_h[idx][0, 1] += 1e-6
+        bad_u[idx] *= 1.0 + 1e-6
+        assert not is_hermitian(bad_h) and not is_unitary(bad_u)
+        assert [is_hermitian(h) for h in bad_h.reshape(6, 4, 4)].count(False) == 1
+        assert [is_unitary(u) for u in bad_u.reshape(6, 4, 4)].count(False) == 1
+
+
+def test_haar_stack_matches_per_matrix_draws():
+    rng = np.random.default_rng(9)
+    want = [haar_unitary(4, rng) for _ in range(5)]
+    g = np.random.default_rng(9).normal(size=(5, 2, 4, 4))
+    np.testing.assert_array_equal(haar_from_ginibre(g[:, 0] + 1j * g[:, 1]), want)

@@ -384,6 +384,12 @@ class TestEvaluate:
         _, hist = evaluate(random_model(1, 1, seed=0), items, TrainConfig())
         assert hist == []
 
+    def test_histogram_key_missing_from_later_item(self):
+        _, test = generate_dataset("band", 5, 3, 0)
+        test[1].meta = {}
+        with pytest.raises(ValueError, match="item 1 has no 'r3'"):
+            evaluate(random_model(1, 1), test)
+
 
 class TestHelpers:
     def test_random_model_structure(self):

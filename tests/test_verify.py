@@ -1,8 +1,12 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reupsim import cli, verify
 from reupsim.linalg import PAULIS, haar_unitary, kron
 from reupsim.states import DensityMatrix, purity, sample_bloch_ball
 from reupsim.verify import (
@@ -222,9 +226,94 @@ class TestRegistry:
         report = run_check(name, trials=20)
         assert report["pass"] is True
         assert report["trials"] == 20
-        assert set(report) == {"check_name", "trials", "max_violation", "pass"}
+        assert set(report) == {"check_name", "trials", "max_violation", "worst_trial", "pass"}
+        assert 0 <= report["worst_trial"] < 20
         json.dumps(report)
 
     def test_unknown_check(self):
         with pytest.raises(ValueError, match="swap-test"):
             run_check("nonsense")
+
+
+def random_hermitian2(rng) -> np.ndarray:
+    """observation1's per-trial observable draw from before its trials were stacked."""
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return (g + g.conj().T) / 2
+
+
+def check_violations(name: str, trials: int, seed: int) -> np.ndarray:
+    """Per-trial violations of a registered check, as it hands them to _report."""
+    with mock.patch.object(verify, "_report", lambda _, violations: np.asarray(violations)):
+        return verify.CHECKS[name](trials=trials, seed=seed)
+
+
+class TestStackedTrials:
+    """The stacked checks draw the trials the per-trial loop drew, and agree
+    with the single-instance certificates trial by trial."""
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 300))
+    def test_observation1(self, seed, trials):
+        rng = np.random.default_rng(seed)
+        want = [(haar_unitary(4, rng), haar_unitary(4, rng), random_hermitian2(rng))
+                for _ in range(trials)]
+        stacks = verify._observation1_draws(np.random.default_rng(seed), trials)
+        for got, ref in zip(stacks, zip(*want)):
+            np.testing.assert_array_equal(got, np.array(ref))
+        dets = [observation1_certificate(u, v, o)[1] for u, v, o in want]
+        np.testing.assert_allclose(check_violations("observation1", trials, seed),
+                                   np.abs(dets), rtol=0, atol=1e-14)
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 300))
+    def test_ksigma(self, seed, trials):
+        rng = np.random.default_rng(seed)
+        want = [(rng.uniform(-np.pi, np.pi, size=3), [rng.uniform(-1.0, 1.0) for _ in range(3)])
+                for _ in range(trials)]
+        np.testing.assert_array_equal(verify._ksigma_draws(np.random.default_rng(seed), trials),
+                                      [[*k, *a] for k, a in want])
+        dets = [np.linalg.det(sum(a[i - 1] * ksigma_corr(k, i).entries for i in (1, 2, 3)))
+                for k, a in want]
+        np.testing.assert_allclose(check_violations("ksigma", trials, seed),
+                                   np.abs(dets), rtol=0, atol=1e-14)
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 300))
+    def test_purity_observable(self, seed, trials):
+        rng = np.random.default_rng(seed)
+        want = [rng.uniform(-2.0, 2.0, size=6) for _ in range(trials)]
+        np.testing.assert_array_equal(
+            np.random.default_rng(seed).uniform(-2.0, 2.0, size=(trials, 6)), want)
+        gaps = [abs(purity_observable_det(c) - (1.0 + c[0] ** 2 + (c[2] + c[4]) ** 2
+                                                + (c[3] + c[5]) ** 2)) for c in want]
+        np.testing.assert_allclose(check_violations("purity-observable", trials, seed),
+                                   gaps, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("name", sorted(CHECKS))
+    def test_worst_trial_replays(self, name, tmp_path):
+        full, last = tmp_path / "full.json", tmp_path / "last.json"
+        assert cli.main(["verify", "--check", name, "--seed", "3", "--out", str(full)]) == 0
+        report = json.loads(full.read_text())
+        k = report["worst_trial"]
+        assert cli.main(["verify", "--check", name, "--seed", "3", "--trials", str(k + 1),
+                         "--out", str(last)]) == 0
+        replay = json.loads(last.read_text())
+        assert replay["max_violation"] == report["max_violation"]
+        assert replay["worst_trial"] == k
+
+    def test_failing_trial_named_across_blocks(self, monkeypatch):
+        bad = verify.TRIAL_BLOCK + 5
+        haar_from_ginibre = verify.haar_from_ginibre
+        calls = []
+
+        def haar_with_one_bad_u(z):
+            out = haar_from_ginibre(z)
+            if calls:  # the second block
+                out[5, 0] *= 2.0
+            calls.append(len(z))
+            return out
+
+        monkeypatch.setattr(verify, "haar_from_ginibre", haar_with_one_bad_u)
+        with pytest.raises(ValueError, match=f"^trial {bad}: u is not unitary$"):
+            verify.observation1_check(trials=2 * verify.TRIAL_BLOCK)
+        assert calls == [verify.TRIAL_BLOCK, verify.TRIAL_BLOCK]
