@@ -206,7 +206,7 @@ def apply_layer(tau: DensityMatrix, rho: DensityMatrix, layer: LayerSpec) -> Den
         raise ValueError("signal must be a single qubit")
     u = layer_unitary(layer, rho.n_qubits)
     joint = u @ kron(tau.matrix, rho.matrix) @ u.conj().T
-    out = partial_trace(joint, 2, rho.dim, keep="A")
+    out = partial_trace(joint, 2, rho.dim)
     return DensityMatrix(out, 1)
 
 
@@ -301,9 +301,8 @@ def sample_shots(expect, shots: int, rng):
     return 2.0 * rng.binomial(shots, p) / shots - 1.0
 
 
-def hadamard_test(rho: DensityMatrix, u: np.ndarray, imag: bool = False,
-                  shots: int = 0, rng=None) -> float:
-    """Ancilla interference estimate of Re tr(rho u), or Im with imag=True.
+def hadamard_test(rho: DensityMatrix, u: np.ndarray, imag: bool = False) -> float:
+    """Ancilla interference value of Re tr(rho u), or Im with imag=True.
 
     The ancilla is the first factor: H, controlled-u, an S^dag phase for the
     imaginary part, H again, then <Z> on the ancilla.
@@ -314,7 +313,7 @@ def hadamard_test(rho: DensityMatrix, u: np.ndarray, imag: bool = False,
         raise ValueError(f"unitary shape {u.shape} does not match state dimension {d}")
     if not is_unitary(u):
         raise ValueError("operator is not unitary within 1e-10")
-    return hadamard_test_unchecked(rho.matrix, u, imag, shots, rng)
+    return hadamard_test_unchecked(rho.matrix, u, imag)
 
 
 def hadamard_test_unchecked(rho: np.ndarray, u: np.ndarray, imag: bool = False,

@@ -213,9 +213,9 @@ def compile_univariate_delta(target, delta: float) -> CompiledCircuit:
 # ---------------------------------------------------------------------------
 # coefficient extraction from a circuit
 
-def _chebyshev_nodes(count: int, scale: float = 0.9) -> np.ndarray:
+def _chebyshev_nodes(count: int) -> np.ndarray:
     k = np.arange(count)
-    return scale * np.cos((2 * k + 1) * np.pi / (2 * count))
+    return 0.9 * np.cos((2 * k + 1) * np.pi / (2 * count))
 
 
 def _final_bloch(model: ReuploadModel, lam_ext: np.ndarray) -> np.ndarray:

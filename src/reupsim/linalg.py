@@ -1,8 +1,10 @@
 """Dense complex linear algebra kernel: Kronecker products, partial traces,
-the Pauli-word basis, Hermitian eigendecompositions and exp(iH) unitaries.
+the Pauli-word basis, Hermitian eigendecompositions, exp(iH) unitaries and
+their principal logarithms.
 
-Everything works on plain complex128 ndarrays.  Matrices are small (the
-simulator never exceeds a handful of qubits) so dense routines are fine.
+Everything works on plain complex128 ndarrays with numpy alone.  Matrices
+are small (the simulator never exceeds a handful of qubits) so dense
+routines are fine.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 HERMITIAN_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
@@ -30,24 +31,13 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a), np.asarray(b))
 
 
-def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str = "A") -> np.ndarray:
-    """Trace out one tensor factor of a (dim_a*dim_b) square matrix.
-
-    Args:
-        m: square matrix on the product space A (x) B, A first.
-        dim_a, dim_b: factor dimensions.
-        keep: "A" returns tr_B(m), "B" returns tr_A(m).
-    """
+def partial_trace(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """tr_B(m) of a square matrix on the product space A (x) B, A first."""
     m = np.asarray(m)
     d = dim_a * dim_b
     if m.shape != (d, d):
         raise ValueError(f"expected shape {(d, d)}, got {m.shape}")
-    t = m.reshape(dim_a, dim_b, dim_a, dim_b)
-    if keep == "A":
-        return np.einsum("abcb->ac", t)
-    if keep == "B":
-        return np.einsum("abad->bd", t)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    return np.einsum("abcb->ac", m.reshape(dim_a, dim_b, dim_a, dim_b))
 
 
 def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
@@ -189,20 +179,29 @@ def exp_i_hermitian(h) -> np.ndarray:
 def unitary_to_generator(u: np.ndarray) -> HermitianGenerator:
     """Hermitian H with exp(iH) equal to u up to global phase.
 
-    Takes the principal matrix logarithm through the eigendecomposition and
-    removes the trace, so the result conjugates identically to u.
+    Takes the principal matrix logarithm on an orthonormal eigenbasis of u
+    and removes the trace, so the result conjugates identically to u.  The
+    eigenbasis is the eigh basis of the Cayley transform
+    K = i(v + I)^-1 (v - I) of v = e^(i c) u, where the global phase c puts
+    -1 mid-way across the widest gap between u's eigenphases.  K is a
+    Hermitian function of u that maps the unit circle without -1 one-to-one
+    onto the real line, so distinct eigenvalues of u stay distinct in K.
     """
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
     if not is_unitary(u):
         raise ValueError("input is not unitary within 1e-10")
-    # unitary matrices are normal, so the Schur form is an orthonormal
-    # diagonalization; much tighter than a general eig here
-    t, z = scipy.linalg.schur(u, output="complex")
-    phases = np.angle(np.diagonal(t))
+    phi = np.sort(np.angle(np.linalg.eigvals(u)))
+    gaps = np.diff(phi, append=phi[0] + 2 * np.pi)
+    k = int(np.argmax(gaps))
+    v = u * np.exp(1j * (np.pi - phi[k] - gaps[k] / 2))
+    eye = np.eye(d)
+    cayley = 1j * np.linalg.solve(v + eye, v - eye)
+    _, z = np.linalg.eigh((cayley + cayley.conj().T) / 2)
+    phases = np.angle(np.einsum("ji,jk,ki->i", z.conj(), u, z))
     h = (z * phases) @ z.conj().T
     h = (h + h.conj().T) / 2
-    h = h - (np.trace(h).real / d) * np.eye(d)
+    h = h - (np.trace(h).real / d) * eye
     return HermitianGenerator.from_matrix(h)
 
 

@@ -153,7 +153,7 @@ def renyi2_entropy(rho: DensityMatrix) -> float:
         raise ValueError("renyi2_entropy expects a pure state")
     doubled = kron(rho.matrix, rho.matrix)
     val = np.trace(doubled @ swap_permutation(2, 2)).real
-    rho_a = partial_trace(rho.matrix, 2, 2, keep="A")
+    rho_a = partial_trace(rho.matrix, 2, 2)
     direct = np.trace(rho_a @ rho_a).real
     if abs(val - direct) > 1e-10:
         raise RuntimeError("swap-trick purity disagrees with the reduced state")
@@ -218,7 +218,12 @@ def _matrix_to_json(m: np.ndarray) -> list:
 
 
 def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+    """Matrix from rows of [re, im] pairs of JSON numbers (not bools)."""
+    m = np.array([[complex(re, im) for re, im in row] for row in rows])
+    bad = next((x for row in rows for pair in row for x in pair if type(x) is bool), None)
+    if bad is not None:
+        raise ValueError(f"matrix entries must be JSON numbers, got {json.dumps(bad)}")
+    return m
 
 
 def json_int(value, field: str, low: int = 1) -> int:

@@ -256,7 +256,7 @@ def test_deferred_measurement_equivalence():
     m2 = p12 @ kron(u2, np.eye(2)) @ p12
     joint = kron(kron(tau0.matrix, rho.matrix), rho.matrix)
     out = m2 @ m1 @ joint @ m1.conj().T @ m2.conj().T
-    direct = partial_trace(out, 2, 4, keep="A")
+    direct = partial_trace(out, 2, 4)
     assert np.max(np.abs(direct - seq.matrix)) < 1e-10
 
 

@@ -80,7 +80,10 @@ class TestTrain:
         # a missing field, and fields of the wrong type
         wrong_type = json.dumps({**json.loads(lines[1]), "matrix": 5})
         bool_label = json.dumps({**json.loads(lines[1]), "label": True})
-        for bad in ('{"n": 1, "label": 1.0}', wrong_type, bool_label):
+        # complex(True, 0) == 1, so a bool must not pass for the number 1
+        bool_matrix = json.dumps({**json.loads(lines[1]),
+                                  "matrix": [[[True, False], [0, 0]], [[0, 0], [False, 0]]]})
+        for bad in ('{"n": 1, "label": 1.0}', wrong_type, bool_label, bool_matrix):
             lines[1] = bad
             path.write_text("\n".join(lines) + "\n")
             code = run(["train", "--dataset", ds, "--layers", 1, "--epochs", 1,

@@ -1,0 +1,32 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import reupsim
+
+# Runs in a fresh interpreter, so modules this test session has loaded do
+# not count.  Imports every module of the package, cli included, and prints
+# their names and the top-level names of all modules that were added.
+PROBE = """
+import importlib, json, pkgutil, sys
+before = set(sys.modules)
+import reupsim
+names = [info.name for info in pkgutil.iter_modules(reupsim.__path__)]
+for name in names:
+    importlib.import_module("reupsim." + name)
+added = {m.partition(".")[0] for m in set(sys.modules) - before}
+print(json.dumps({"modules": names, "added": sorted(added)}))
+"""
+
+
+def test_numpy_is_the_only_third_party_import():
+    src = str(Path(reupsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True, timeout=60).stdout
+    probe = json.loads(out)
+    assert "cli" in probe["modules"]
+    third_party = [m for m in probe["added"] if m not in sys.stdlib_module_names]
+    assert third_party == ["numpy", "reupsim"]

@@ -149,7 +149,7 @@ def test_layers_are_cptp(model, pure, seed):
                   *np.einsum("ij,iab->jab", e.m, sig[1:])]
         choi = sum(np.kron(s.T, img) for s, img in zip(sig, images)) / 4
         assert np.linalg.eigvalsh(choi)[0] >= -1e-12
-        np.testing.assert_allclose(partial_trace(choi, 2, 2, keep="A"), np.eye(2) / 2,
+        np.testing.assert_allclose(partial_trace(choi, 2, 2), np.eye(2) / 2,
                                    rtol=0, atol=1e-12)
 
 

@@ -14,6 +14,7 @@ from reupsim.linalg import (
     letters_to_index,
     partial_trace,
     pauli_word_basis,
+    swap_permutation,
     unitary_to_generator,
 )
 
@@ -52,8 +53,7 @@ def test_partial_trace_of_product_state():
     a = random_density(2, rng)
     b = random_density(4, rng)
     m = kron(a, b)
-    assert np.max(np.abs(partial_trace(m, 2, 4, keep="A") - a)) < 1e-12
-    assert np.max(np.abs(partial_trace(m, 2, 4, keep="B") - b)) < 1e-12
+    assert np.max(np.abs(partial_trace(m, 2, 4) - a)) < 1e-12
 
 
 def test_partial_trace_preserves_trace_and_is_linear():
@@ -61,18 +61,15 @@ def test_partial_trace_preserves_trace_and_is_linear():
     for _ in range(5):
         m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         n = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        for keep in ("A", "B"):
-            ta = partial_trace(m, 2, 4, keep=keep)
-            assert abs(np.trace(ta) - np.trace(m)) < 1e-12
-            combo = partial_trace(2.5 * m - 1j * n, 2, 4, keep=keep)
-            assert np.max(np.abs(combo - (2.5 * ta - 1j * partial_trace(n, 2, 4, keep=keep)))) < 1e-12
+        ta = partial_trace(m, 2, 4)
+        assert abs(np.trace(ta) - np.trace(m)) < 1e-12
+        combo = partial_trace(2.5 * m - 1j * n, 2, 4)
+        assert np.max(np.abs(combo - (2.5 * ta - 1j * partial_trace(n, 2, 4)))) < 1e-12
 
 
 def test_partial_trace_rejects_bad_shape():
     with pytest.raises(ValueError):
         partial_trace(np.eye(6), 2, 4)
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(8), 2, 4, keep="C")
 
 
 def test_exp_i_hermitian_known_values():
@@ -128,14 +125,44 @@ def test_hermitian_generator_rejects_bad_length():
         HermitianGenerator(2, np.zeros(7))
 
 
+def _unitaries_with_hard_spectra(d, rng):
+    """A Haar unitary, and unitaries whose eigenphases defeat a naive log."""
+
+    def turned(phases):
+        q = haar_unitary(d, rng)
+        return (q * np.exp(1j * np.asarray(phases))) @ q.conj().T
+
+    # the swap of the first two qubits; at d = 2, of the two basis states
+    swap = PAULIS[1] if d == 2 else kron(swap_permutation(2), np.eye(d // 4))
+    phi = rng.uniform(-np.pi, np.pi, d)
+    pairs = rng.uniform(-np.pi, np.pi, d // 2)
+    yield haar_unitary(d, rng)
+    yield np.eye(d)
+    yield -np.eye(d)
+    yield swap
+    # eigenvalue -1 with multiplicity d/2
+    yield turned(np.r_[[np.pi] * (d // 2), phi[d // 2:]])
+    # phi and 2 atan(sqrt 2) - phi share an eigenvalue of (u + u^dag)/2 + sqrt(2) (u - u^dag)/2i
+    yield turned(np.r_[pairs, 2 * np.arctan(np.sqrt(2)) - pairs])
+    # clusters 1e-9 apart
+    yield turned(phi[0] + 1e-9 * np.arange(d))
+    yield turned(np.r_[[phi[0]] * (d // 2), [phi[1] + 1e-9] * (d // 2)])
+    # evenly spaced phases, one of them at -1: no gap is wide
+    yield turned(np.pi * (2 * np.arange(d) / d - 1))
+
+
 def test_unitary_to_generator_conjugates_identically():
     rng = np.random.default_rng(6)
     for d in (2, 4, 8):
-        u = haar_unitary(d, rng)
-        v = exp_i_hermitian(unitary_to_generator(u))
-        # equal up to global phase: conjugation action must match exactly
-        m = random_hermitian(d, rng)
-        assert np.max(np.abs(u @ m @ u.conj().T - v @ m @ v.conj().T)) < 1e-9
+        for u in _unitaries_with_hard_spectra(d, rng):
+            h = unitary_to_generator(u).matrix()
+            assert abs(np.trace(h)) < 1e-12
+            v = exp_i_hermitian(h)
+            # equal up to global phase, hence also in conjugation action
+            phase = np.trace(v.conj().T @ u)
+            assert np.max(np.abs(v * phase / abs(phase) - u)) < 1e-12
+            m = random_hermitian(d, rng)
+            assert np.max(np.abs(u @ m @ u.conj().T - v @ m @ v.conj().T)) < 1e-9
 
 
 def test_haar_unitary_is_unitary():

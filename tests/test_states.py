@@ -194,6 +194,8 @@ def test_read_dataset_reports_line_number(tmp_path):
         good.replace('"meta": {}', '"meta": {"r3": "x"}'),
         good.replace('"meta": {}', '"meta": {"lambda": true}'),
         good.replace('"meta": {}', '"meta": {"entropy": 0.1}'),
+        '{"n": 1, "matrix": [[[true, false], [0, 0]], [[0, 0], [false, 0]]], '
+        '"label": 0.0, "meta": {}}',
     ]
     for bad in bad_lines:
         path.write_text(good + "\n" + bad + "\n")
