@@ -37,12 +37,47 @@ DATASET_TASKS = ("purity", "entropy", "band", "double-band", "psi-grid")
 META_KEYS = ("purity", "entropy", "r3", "lambda")
 
 
+def density_fault(stack: np.ndarray):
+    """(k, reason) for the first matrix of an (N, d, d) stack that is not a
+    density matrix, or None when every one is.
+
+    The checks run on the whole stack in order, each on the prefix before
+    the first failure so far: finite entries, Hermitian within 1e-10, unit
+    trace within 1e-10, and no eigenvalue below -1e-10 (one eigvalsh of
+    that prefix).  So k and its reason are those a matrix-by-matrix check
+    would give.  Each check is one reduction over the stack; a matrix is
+    located only when the stack fails it.
+    """
+    fault = None
+    finite = np.isfinite(stack)
+    if not finite.all():
+        k = int(np.argmin(finite.all(axis=(1, 2))))
+        fault, stack = (k, "density matrix has non-finite entries"), stack[:k]
+    if not len(stack):
+        return fault
+    skew = np.abs(stack - stack.conj().swapaxes(1, 2))
+    # |re tr - 1| and |im tr| side by side, two per matrix
+    trace_off = np.abs((stack.trace(axis1=1, axis2=2) - 1.0).view(float))
+    if skew.max() > STATE_ATOL or trace_off.max() > STATE_ATOL:
+        hermitian = skew.max(axis=(1, 2)) <= STATE_ATOL
+        k = int(np.argmin(hermitian & (trace_off.reshape(-1, 2).max(axis=1) <= STATE_ATOL)))
+        fault = (k, "density matrix does not have unit trace" if hermitian[k]
+                 else "density matrix is not Hermitian within 1e-10")
+        stack = stack[:k]
+    evs = np.linalg.eigvalsh(stack)  # ascending, so evs[:, 0] is each matrix's lowest
+    if len(evs) and evs.min() < -STATE_ATOL:
+        k = int(np.argmax(evs[:, 0] < -STATE_ATOL))
+        fault = (k, f"density matrix has negative eigenvalue {evs[k, 0]:.3e}")
+    return fault
+
+
 @dataclass
 class DensityMatrix:
     """Validated density matrix on n_qubits qubits.
 
-    Rejects input that is not Hermitian (1e-10), not unit trace (1e-10) or
-    has an eigenvalue below -1e-10.
+    Rejects input that is not finite, not Hermitian (1e-10), not unit trace
+    (1e-10) or has an eigenvalue below -1e-10, with the reason
+    `density_fault` gives.
     """
 
     matrix: np.ndarray
@@ -57,15 +92,16 @@ class DensityMatrix:
             self.n_qubits = n
         elif self.n_qubits != n:
             raise ValueError(f"n_qubits {self.n_qubits} does not match dim {self.matrix.shape[0]}")
-        if not np.isfinite(self.matrix).all():
-            raise ValueError("density matrix has non-finite entries")
-        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > STATE_ATOL:
-            raise ValueError("density matrix is not Hermitian within 1e-10")
-        if abs(np.trace(self.matrix).real - 1.0) > STATE_ATOL or abs(np.trace(self.matrix).imag) > STATE_ATOL:
-            raise ValueError("density matrix does not have unit trace")
-        evs = np.linalg.eigvalsh(self.matrix)
-        if evs[0] < -STATE_ATOL:
-            raise ValueError(f"density matrix has negative eigenvalue {evs[0]:.3e}")
+        fault = density_fault(self.matrix[None])
+        if fault is not None:
+            raise ValueError(fault[1])
+
+    @classmethod
+    def prechecked(cls, matrix: np.ndarray, n_qubits: int) -> "DensityMatrix":
+        """State of a matrix from a stack that already passed density_fault."""
+        rho = object.__new__(cls)
+        rho.matrix, rho.n_qubits = matrix, n_qubits
+        return rho
 
     @property
     def dim(self) -> int:
@@ -105,7 +141,8 @@ class PauliWord:
 
 @dataclass
 class PauliCoeffs:
-    """Pauli expansion coefficients lam[alpha-1] = tr(rho W_alpha), alpha >= 1."""
+    """Pauli expansion coefficients lam[..., alpha-1] = tr(rho W_alpha),
+    alpha >= 1: shape (4**n - 1,) for one state, (N, 4**n - 1) for a stack."""
 
     n_qubits: int
     lam: np.ndarray
@@ -113,9 +150,9 @@ class PauliCoeffs:
     def __post_init__(self):
         self.lam = np.asarray(self.lam, dtype=float)
         m = 4**self.n_qubits - 1
-        if self.lam.shape != (m,):
+        if self.lam.ndim not in (1, 2) or self.lam.shape[-1] != m:
             raise ValueError(f"expected {m} coefficients, got {self.lam.shape}")
-        largest = np.max(np.abs(self.lam))
+        largest = np.max(np.abs(self.lam), initial=0.0)
         if not math.isfinite(largest):
             raise ValueError("Pauli coefficients must be finite")
         if largest > 1.0 + 1e-9:
@@ -129,11 +166,13 @@ class LabeledState:
     meta: dict = field(default_factory=dict)
 
 
-def pauli_coeffs(rho: DensityMatrix) -> PauliCoeffs:
-    """Expansion coefficients of rho over the non-identity Pauli words."""
-    words = pauli_word_basis(rho.n_qubits)
-    lam = np.einsum("aij,ji->a", words[1:], rho.matrix).real
-    return PauliCoeffs(rho.n_qubits, lam)
+def pauli_coeffs(rho) -> PauliCoeffs:
+    """Expansion coefficients over the non-identity Pauli words of a
+    DensityMatrix, or of every matrix of an (N, d, d) stack of them."""
+    m = rho.matrix if isinstance(rho, DensityMatrix) else rho
+    n = _int_log2(m.shape[-1])
+    lam = np.einsum("aij,...ji->...a", pauli_word_basis(n)[1:], m).real
+    return PauliCoeffs(n, lam)
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -217,13 +256,42 @@ def _matrix_to_json(m: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
-def _matrix_from_json(rows) -> np.ndarray:
-    """Matrix from rows of [re, im] pairs of JSON numbers (not bools)."""
-    m = np.array([[complex(re, im) for re, im in row] for row in rows])
-    bad = next((x for row in rows for pair in row for x in pair if type(x) is bool), None)
-    if bad is not None:
-        raise ValueError(f"matrix entries must be JSON numbers, got {json.dumps(bad)}")
+def _matrix_from_json(rows, n: int) -> np.ndarray:
+    """The (d, d, 2) re/im array of a d x d matrix, d = 2**n, given as rows
+    of [re, im] pairs of JSON numbers.  numpy reads a bool as 0 or 1, so
+    bools are looked for entry by entry."""
+    if n >= 64:  # no list holds 2**64 rows, and 2**n is not worth building
+        raise ValueError(f"matrix: n = {n} needs 2**{n} rows")
+    d = 2**n
+    try:
+        m = np.array(rows)
+    except ValueError:  # ragged nesting
+        m = None
+    if (m is None or m.shape != (d, d, 2) or m.dtype.kind not in "fiu"
+            or any(type(x) is bool for row in rows for pair in row for x in pair)):
+        raise ValueError(f"matrix: {_matrix_fault(rows, n)}")
     return m
+
+
+def _matrix_fault(rows, n: int) -> str:
+    """Why rows is not a 2**n x 2**n matrix of [re, im] pairs of JSON numbers."""
+    d = 2**n
+    if not isinstance(rows, list):
+        return f"expected a list of {d} rows, got {json.dumps(rows)}"
+    if len(rows) != d:
+        return f"expected {d} rows for n = {n}, got {len(rows)}"
+    for row in rows:
+        if not isinstance(row, list):
+            return f"rows must be lists, got {json.dumps(row)}"
+        if len(row) != d:
+            return f"expected {d} entries per row, got {len(row)}"
+        for pair in row:
+            if not isinstance(pair, list) or len(pair) != 2:
+                return f"entries must be [re, im] pairs, got {json.dumps(pair)}"
+            for x in pair:
+                if isinstance(x, bool) or not isinstance(x, (int, float)):
+                    return f"entries must be JSON numbers, got {json.dumps(x)}"
+    return "integer entries must fit in 64 bits"  # numpy keeps them as objects
 
 
 def json_int(value, field: str, low: int = 1) -> int:
@@ -254,15 +322,32 @@ def write_dataset(path, dataset) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
-def read_dataset(path) -> list:
-    """Read a JSONL dataset, revalidating every state.
+def _checked_stack(path, buf: np.ndarray, line_nos: list) -> np.ndarray:
+    """The (N, d, d) complex stack of the N matrices read so far, if all of
+    them are density matrices; else the error for the first that is not."""
+    stack = buf[: len(line_nos)].view(complex)[..., 0]
+    fault = density_fault(stack)
+    if fault is not None:
+        raise ValueError(f"{path}: line {line_nos[fault[0]]}: {fault[1]}")
+    return stack
 
-    n must be a positive JSON integer and label a finite JSON number (not
-    a bool), and every state must have the first record's qubit count.  meta
-    must be a JSON object whose META_KEYS are finite JSON numbers, the same
-    keys in every record.  Errors name the file and line.
+
+def read_dataset(path) -> list:
+    """Read a JSONL dataset, checking the states of the file as one stack.
+
+    Each line is parsed on its own and its fields checked by type: n must be
+    a positive JSON integer, label a finite JSON number (not a bool), matrix
+    2**n rows of 2**n [re, im] pairs of JSON numbers, with the first
+    record's n.  meta must be a JSON object whose META_KEYS are finite JSON
+    numbers, the same keys in every record.  The matrices go straight into
+    one (N, d, d) stack, which `density_fault` checks once for the whole
+    file.  Errors read `path: line N: reason`, `field: reason` for a
+    malformed field, and name the first bad line, a state that fails the
+    stack check included.
     """
-    out = []
+    labels, metas, line_nos = [], [], []
+    n_first = first_keys = None
+    buf = np.empty((0, 1, 1, 2))  # re/im parts of the matrices read so far, then spare rows
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -272,30 +357,38 @@ def read_dataset(path) -> list:
                 rec = json.loads(line)
                 n = json_int(rec["n"], "n")
                 label = json_number(rec["label"], "label")
-                state = DensityMatrix(_matrix_from_json(rec["matrix"]), n)
+                m = _matrix_from_json(rec["matrix"], n)
                 meta = rec.get("meta", {})
                 if not isinstance(meta, dict):
                     raise ValueError(f"meta must be a JSON object, got {json.dumps(meta)}")
-                item = LabeledState(state, label, dict(meta))
-                if not math.isfinite(item.label):
+                if not math.isfinite(label):
                     raise ValueError("label must be finite")
                 keys = [k for k in META_KEYS if k in meta]
                 for k in keys:
                     if not math.isfinite(json_number(meta[k], f"meta {k}")):
                         raise ValueError(f"meta {k} must be finite")
-                if out and state.n_qubits != out[0].state.n_qubits:
-                    raise ValueError(
-                        f"state has {state.n_qubits} qubits, the first record "
-                        f"has {out[0].state.n_qubits}"
-                    )
-                if not out:
-                    first_keys = keys
+                if n_first is None:
+                    n_first, first_keys = n, keys
+                elif n != n_first:
+                    raise ValueError(f"state has {n} qubits, the first record has {n_first}")
                 elif keys != first_keys:
                     raise ValueError(f"meta has histogram keys {keys}, the first record has {first_keys}")
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
-            out.append(item)
-    return out
+            except (KeyError, TypeError, ValueError) as exc:
+                _checked_stack(path, buf, line_nos)
+                # a KeyError is a missing n, label or matrix
+                reason = f"{exc.args[0]}: missing" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"{path}: line {line_no}: {reason}") from exc
+            if not line_nos:
+                buf = np.empty((64,) + m.shape)
+            elif len(line_nos) == len(buf):
+                buf = np.concatenate((buf, np.empty_like(buf)))
+            buf[len(line_nos)] = m
+            labels.append(label)
+            metas.append(meta)
+            line_nos.append(line_no)
+    stack = _checked_stack(path, buf, line_nos)
+    return [LabeledState(DensityMatrix.prechecked(m, n_first), label, meta)
+            for m, label, meta in zip(stack, labels, metas)]
 
 
 # ---------------------------------------------------------------------------

@@ -91,14 +91,15 @@ class TrainReport:
 
 
 def _lam_ext(dataset, n_qubits: int) -> np.ndarray:
-    """Stacked (1, lam) rows for every uploaded state, shape (N, 4**n)."""
-    out = np.ones((len(dataset), 4**n_qubits))
+    """Stacked (1, lam) rows for every uploaded state, shape (N, 4**n): one
+    pauli_coeffs contraction of the stacked matrices."""
     for k, item in enumerate(dataset):
         if item.state.n_qubits != n_qubits:
             raise ValueError(
                 f"dataset state {k} has {item.state.n_qubits} qubits, model expects {n_qubits}"
             )
-        out[k, 1:] = pauli_coeffs(item.state).lam
+    out = np.ones((len(dataset), 4**n_qubits))
+    out[:, 1:] = pauli_coeffs(np.stack([item.state.matrix for item in dataset])).lam
     return out
 
 

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import reupsim
 
 # Runs in a fresh interpreter, so modules this test session has loaded do
@@ -30,3 +32,11 @@ def test_numpy_is_the_only_third_party_import():
     assert "cli" in probe["modules"]
     third_party = [m for m in probe["added"] if m not in sys.stdlib_module_names]
     assert third_party == ["numpy", "reupsim"]
+
+
+def test_distribution_is_named_reupsim():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert project["name"] == "reupsim"
+    assert project["scripts"] == {"reupsim": "reupsim.cli:main"}

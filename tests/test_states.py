@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reupsim.linalg import pauli_word_basis
 from reupsim.states import (
@@ -11,6 +13,7 @@ from reupsim.states import (
     LabeledState,
     PauliWord,
     bloch_vector,
+    density_fault,
     density_from_bloch,
     generate_dataset,
     pauli_coeffs,
@@ -185,6 +188,7 @@ def test_read_dataset_reports_line_number(tmp_path):
         good.replace('"n": 1', '"n": true'),
         good.replace('"n": 1', '"n": "1"'),
         good.replace('"n": 1', '"n": 0'),
+        good.replace('"n": 1', '"n": 1000000000000'),
         good.replace('"label": 0.0', '"label": true'),
         good.replace('"label": 0.0', '"label": "0.5"'),
         good.replace('"meta": {}', '"meta": [["r3", 0.5]]'),
@@ -211,6 +215,110 @@ def test_read_dataset_rejects_mixed_qubit_counts(tmp_path):
     # a file of two-qubit states alone is fine
     path.write_text(_two_qubit_record() + "\n")
     assert read_dataset(path)[0].state.n_qubits == 2
+
+
+MATRIX_FAULTS = {
+    "string entry": ('[[["1.0", 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]',
+                     'entries must be JSON numbers, got "1.0"'),
+    "bool entry": ('[[[1.0, 0.0], [0.0, false]], [[0.0, 0.0], [0.0, 0.0]]]',
+                   "entries must be JSON numbers, got false"),
+    "pair of three": ('[[[1.0, 0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]',
+                      r"entries must be \[re, im\] pairs, got \[1.0, 0.0, 0.0\]"),
+    "ragged row": ('[[[1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]',
+                   "expected 2 entries per row, got 1"),
+    "bare number": ("5", "expected a list of 2 rows, got 5"),
+    "wrong size": ("[[[1.0, 0.0]]]", "expected 2 rows for n = 1, got 1"),
+    "integer beyond 64 bits": ('[[[18446744073709551616, 0], [0, 0]], [[0, 0], [0, 0]]]',
+                               "integer entries must fit in 64 bits"),
+}
+
+
+@pytest.mark.parametrize("field", ["n", "label", "matrix"])
+def test_read_dataset_names_a_missing_field(tmp_path, field):
+    path = tmp_path / "bad.jsonl"
+    bad = json.loads(GOOD_RECORD)
+    del bad[field]
+    path.write_text(GOOD_RECORD + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(ValueError, match=rf"bad\.jsonl: line 2: {field}: missing$"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("case", sorted(MATRIX_FAULTS))
+def test_read_dataset_names_the_matrix_field(tmp_path, case):
+    matrix, reason = MATRIX_FAULTS[case]
+    path = tmp_path / "bad.jsonl"
+    bad = json.loads(GOOD_RECORD)
+    bad["matrix"] = json.loads(matrix)
+    path.write_text(GOOD_RECORD + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(ValueError, match=rf"bad\.jsonl: line 2: matrix: {reason}$"):
+        read_dataset(path)
+
+
+def test_read_dataset_names_the_first_bad_state_before_a_later_parse_error(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    trace_two = GOOD_RECORD.replace('[[0.0, 0.0], [0.0, 0.0]]]', '[[0.0, 0.0], [1.0, 0.0]]]')
+    path.write_text("\n".join([GOOD_RECORD, trace_two, GOOD_RECORD, "not json"]) + "\n")
+    with pytest.raises(ValueError, match=r"line 2: density matrix does not have unit trace$"):
+        read_dataset(path)
+
+
+def test_read_dataset_checks_a_file_with_one_eigvalsh(tmp_path, monkeypatch):
+    path = tmp_path / "data.jsonl"
+    write_dataset(path, generate_dataset("entropy", 200, 1, seed=0)[0])
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    assert len(read_dataset(path)) == 200
+    assert calls == [(200, 4, 4)]
+
+
+# a matrix that fails exactly one check, and the reason it fails with
+ONE_FAULT = {
+    "none": None,
+    "non-finite": "density matrix has non-finite entries",
+    "non-Hermitian": "density matrix is not Hermitian within 1e-10",
+    "trace": "density matrix does not have unit trace",
+    "negative": "density matrix has negative eigenvalue",
+}
+
+
+def _matrix_with_fault(n: int, seed: int, fault: str) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = a @ a.conj().T
+    m /= np.trace(m).real
+    i, j = rng.choice(d, size=2, replace=False)
+    if fault == "non-finite":
+        m[i, j] = rng.choice([np.nan, np.inf, -np.inf])
+    elif fault == "non-Hermitian":
+        m[i, j] += 1e-6j
+    elif fault == "trace":
+        m *= 1.0 + rng.choice([-1.0, 1.0]) * 1e-6
+    elif fault == "negative":
+        w, v = np.linalg.eigh(m)
+        w[-1] += w[0] + 1e-3
+        w[0] = -1e-3
+        m = (v * w) @ v.conj().T
+    return m
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2]),
+       specs=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.sampled_from(sorted(ONE_FAULT))),
+                      min_size=1, max_size=6))
+def test_density_fault_agrees_with_density_matrix(n, specs):
+    stack = np.array([_matrix_with_fault(n, seed, fault) for seed, fault in specs])
+    expected = None
+    for k, (m, (_, fault)) in enumerate(zip(stack, specs)):
+        try:
+            DensityMatrix(m, n)
+        except ValueError as exc:
+            assert str(exc).startswith(ONE_FAULT[fault])
+            expected = expected or (k, str(exc))
+        else:
+            assert ONE_FAULT[fault] is None
+    assert density_fault(stack) == expected
 
 
 @pytest.mark.parametrize("task", ["band", "psi-grid"])

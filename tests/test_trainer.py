@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from reupsim.channel import CouplingSpec, LayerSpec, ReuploadModel, model_to_json, run_model
 from reupsim.compiler import MonomialSpec, PolynomialSpec, fit_coefficients
 from reupsim.linalg import HermitianGenerator, letters_to_index
-from reupsim.states import LabeledState, density_from_bloch, generate_dataset, psi_t
+from reupsim.states import LabeledState, density_from_bloch, generate_dataset, pauli_coeffs, psi_t
 from reupsim.trainer import (
     TrainConfig,
     TrainReport,
@@ -389,6 +390,25 @@ class TestEvaluate:
         test[1].meta = {}
         with pytest.raises(ValueError, match="item 1 has no 'r3'"):
             evaluate(random_model(1, 1), test)
+
+
+class TestLamExt:
+    @pytest.mark.parametrize("task, n_qubits", [("purity", 1), ("entropy", 2)])
+    def test_rows_equal_per_state_pauli_coeffs(self, task, n_qubits):
+        data, _ = generate_dataset(task, 40, 1, seed=3)
+        lam = _lam_ext(data, n_qubits)
+        assert lam.shape == (40, 4**n_qubits)
+        assert_array_equal(lam[:, 0], 1.0)
+        assert_array_equal(lam[:, 1:], [pauli_coeffs(item.state).lam for item in data])
+
+    def test_bad_coefficients_raise(self):
+        data, _ = generate_dataset("band", 3, 1, seed=0)
+        data[1].state.matrix[...] = np.diag([2.0, -1.0])  # tr(rho Z) = 3
+        with pytest.raises(ValueError, match="Pauli coefficient exceeds 1 in magnitude"):
+            _lam_ext(data, 1)
+        data[1].state.matrix[0, 0] = np.nan
+        with pytest.raises(ValueError, match="Pauli coefficients must be finite"):
+            _lam_ext(data, 1)
 
 
 class TestHelpers:
