@@ -36,7 +36,9 @@ from .states import (
     bloch_vector,
     density_from_bloch,
     json_int,
+    json_list,
     json_number,
+    json_object,
     pauli_coeffs,
 )
 
@@ -385,17 +387,26 @@ def model_to_json(model: ReuploadModel) -> str:
 
 
 def model_from_json(text: str) -> ReuploadModel:
-    """Parse model_to_json output; a field of the wrong JSON type raises a
-    ValueError that names it."""
-    rec = json.loads(text)
-    layers = [
-        LayerSpec(json_number(l["theta"], "theta"), _coupling_from_dict(l["coupling"]))
-        for l in rec["layers"]
-    ]
-    return ReuploadModel(
-        n_qubits=json_int(rec["n"], "n"),
-        layers=layers,
-        readout_w=np.array([json_number(x, "w") for x in rec["w"]]),
-        readout_b=json_number(rec["b"], "b"),
-        initial_signal=rec["initial_signal"],
-    )
+    """Parse model_to_json output.  A missing field, or one of the wrong JSON
+    type, raises a ValueError that names it, as in `b: missing`,
+    `layers: expected a JSON list, got "x"` or `theta must be a JSON number,
+    got true`."""
+    rec = json_object(json.loads(text), "model")
+    try:
+        layers = []
+        for l in json_list(rec["layers"], "layers"):
+            l = json_object(l, "layer")
+            coupling = json_object(l["coupling"], "coupling")
+            for key in ("word", "coeffs"):  # the list fields of a coupling
+                if key in coupling:
+                    json_list(coupling[key], key)
+            theta = json_number(l["theta"], "theta")
+            layers.append(LayerSpec(theta, _coupling_from_dict(coupling)))
+        n = json_int(rec["n"], "n")
+        w = np.array([json_number(x, "w") for x in json_list(rec["w"], "w")])
+        b = json_number(rec["b"], "b")
+        initial_signal = rec["initial_signal"]
+    except KeyError as exc:  # a field the record lacks
+        raise ValueError(f"{exc.args[0]}: missing") from exc
+    return ReuploadModel(n_qubits=n, layers=layers, readout_w=w, readout_b=b,
+                         initial_signal=initial_signal)

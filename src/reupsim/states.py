@@ -14,9 +14,7 @@ from .linalg import (
     PAULIS,
     _int_log2,
     index_to_letters,
-    kron,
     letters_to_index,
-    partial_trace,
     pauli_word_basis,
     swap_permutation,
 )
@@ -179,24 +177,36 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.trace(rho.matrix @ rho.matrix).real)
 
 
-def renyi2_entropy(rho: DensityMatrix) -> float:
-    """Order-2 Renyi entropy of the first qubit of a two-qubit pure state.
+def renyi2_entropy(rho):
+    """Order-2 Renyi entropy of the first qubit of a two-qubit pure state,
+    or the array of those of each matrix of an (N, 4, 4) stack.
 
     Computed as -ln tr[(rho (x) rho) S_A] with S_A swapping the two copies of
     the first qubit, and cross-checked against -ln tr(rho_A^2).  Natural log;
     a Bell state gives ln 2.  Mixed or non-two-qubit input is rejected.
     """
-    if rho.n_qubits != 2:
+    m = rho.matrix if isinstance(rho, DensityMatrix) else rho
+    if m.shape[-2:] != (4, 4):
         raise ValueError("renyi2_entropy expects a two-qubit state")
-    if abs(purity(rho) - 1.0) > 1e-8:
+    stack = m.reshape(-1, 4, 4)
+    if np.abs(np.trace(stack @ stack, axis1=1, axis2=2).real - 1.0).max() > 1e-8:
         raise ValueError("renyi2_entropy expects a pure state")
-    doubled = kron(rho.matrix, rho.matrix)
-    val = np.trace(doubled @ swap_permutation(2, 2)).real
-    rho_a = partial_trace(rho.matrix, 2, 2)
-    direct = np.trace(rho_a @ rho_a).real
-    if abs(val - direct) > 1e-10:
+    # Diagonal entry i of (rho (x) rho) S_A is (rho (x) rho)[i, j], j the
+    # index S_A swaps i with, that is rho[x1, y1] rho[x2, y2] for i = 4 x1 + x2
+    # and j = 4 y1 + y2; so rho (x) rho, 6 MB for 1,500 states, is never built.
+    x1, x2 = np.divmod(np.arange(16), 4)
+    y1, y2 = np.divmod(swap_permutation(2, 2).argmax(axis=1), 4)
+    flat = stack.reshape(-1, 16)
+    diagonal = flat[:, 4 * x1 + y1] * flat[:, 4 * x2 + y2]
+    # one 1-D sum per matrix, as np.trace sums: a sum along axis 1 adds in
+    # another order and changes the last bits
+    val = np.array([d.sum() for d in diagonal]).real
+    rho_a = np.einsum("nabcb->nac", stack.reshape(-1, 2, 2, 2, 2))
+    direct = np.einsum("nij,nji->n", rho_a, rho_a).real
+    if np.abs(val - direct).max() > 1e-10:
         raise RuntimeError("swap-trick purity disagrees with the reduced state")
-    return float(-np.log(val))
+    s = -np.log(val)
+    return float(s[0]) if m.ndim == 2 else s
 
 
 def sample_haar_pure(n_qubits: int, rng: np.random.Generator) -> DensityMatrix:
@@ -221,9 +231,14 @@ def sample_bloch_ball(rng: np.random.Generator) -> DensityMatrix:
 
 
 def density_from_bloch(r) -> DensityMatrix:
-    r = np.asarray(r, dtype=float)
-    m = (PAULIS[0] + r[0] * PAULIS[1] + r[1] * PAULIS[2] + r[2] * PAULIS[3]) / 2
-    return DensityMatrix(m, 1)
+    return DensityMatrix(_bloch_matrices(r), 1)
+
+
+def _bloch_matrices(r) -> np.ndarray:
+    """(I + r . sigma) / 2 of a Bloch vector r, or of each row of an (N, 3) array."""
+    r = np.asarray(r, dtype=float)[..., None, None]
+    return (PAULIS[0] + r[..., 0, :, :] * PAULIS[1] + r[..., 1, :, :] * PAULIS[2]
+            + r[..., 2, :, :] * PAULIS[3]) / 2
 
 
 def bloch_vector(rho: DensityMatrix) -> np.ndarray:
@@ -244,16 +259,18 @@ def psi_t(t: float) -> DensityMatrix:
     """
     if not 0.0 < t < 1.0:
         raise ValueError(f"t must lie strictly between 0 and 1, got {t}")
-    amp = np.array([t, np.sqrt(1.0 - t * t)], dtype=complex)
-    return DensityMatrix(np.outer(amp, amp.conj()), 1)
+    return DensityMatrix(_psi_t_matrices(t), 1)
+
+
+def _psi_t_matrices(t) -> np.ndarray:
+    """|psi_t><psi_t| of a t, or of each entry of an array of them."""
+    t = np.asarray(t, dtype=float)
+    amp = np.stack([t, np.sqrt(1.0 - t * t)], axis=-1).astype(complex)
+    return amp[..., :, None] * amp.conj()[..., None, :]
 
 
 # ---------------------------------------------------------------------------
 # JSONL serialization
-
-
-def _matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
 def _matrix_from_json(rows, n: int) -> np.ndarray:
@@ -309,13 +326,67 @@ def json_number(value, field: str) -> float:
     return float(value)
 
 
+def json_object(value, field: str) -> dict:
+    """value, if it is a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{field}: expected a JSON object, got {json.dumps(value)}")
+    return value
+
+
+def json_list(value, field: str) -> list:
+    """value, if it is a JSON list."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field}: expected a JSON list, got {json.dumps(value)}")
+    return value
+
+
+def _check_record(n: int, label: float, meta, first):
+    """Check a dataset record's label and meta, and its n and histogram keys
+    against first, the (n, keys) of the file's first record (None for the
+    first record itself); return the (n, keys) to check the next record by.
+
+    label must be finite, meta a JSON object whose META_KEYS are finite JSON
+    numbers.  A ValueError names the field.
+    """
+    json_object(meta, "meta")
+    if not math.isfinite(label):
+        raise ValueError("label must be finite")
+    keys = [k for k in META_KEYS if k in meta]
+    for k in keys:
+        if not math.isfinite(json_number(meta[k], f"meta {k}")):
+            raise ValueError(f"meta {k} must be finite")
+    if first is None:
+        return n, keys
+    if n != first[0]:
+        raise ValueError(f"state has {n} qubits, the first record has {first[0]}")
+    if keys != first[1]:
+        raise ValueError(f"meta has histogram keys {keys}, the first record has {first[1]}")
+    return first
+
+
 def write_dataset(path, dataset) -> None:
-    """Write labeled states as JSONL, one record per line."""
+    """Write labeled states as JSONL, one record per line.
+
+    Before it opens path, refuses what read_dataset would reject: a label
+    that is not finite, meta whose histogram keys (META_KEYS) are not finite
+    JSON numbers or differ from the first item's, and states of another
+    qubit count than the first item's.  The ValueError reads `item K: reason`
+    and names the field.  Each matrix goes out through one tolist() of its
+    [re, im] pairs, which keeps every bit of every entry.
+    """
+    dataset = list(dataset)
+    first = None
+    for k, item in enumerate(dataset):
+        try:
+            first = _check_record(item.state.n_qubits, float(item.label), item.meta, first)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"item {k}: {exc}") from exc
     with open(path, "w") as fh:
         for item in dataset:
+            m = np.ascontiguousarray(item.state.matrix, dtype=complex)
             rec = {
                 "n": item.state.n_qubits,
-                "matrix": _matrix_to_json(item.state.matrix),
+                "matrix": m.view(float).reshape(*m.shape, 2).tolist(),
                 "label": float(item.label),
                 "meta": item.meta,
             }
@@ -346,7 +417,7 @@ def read_dataset(path) -> list:
     stack check included.
     """
     labels, metas, line_nos = [], [], []
-    n_first = first_keys = None
+    first = None  # the first record's n and histogram keys
     buf = np.empty((0, 1, 1, 2))  # re/im parts of the matrices read so far, then spare rows
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -359,20 +430,7 @@ def read_dataset(path) -> list:
                 label = json_number(rec["label"], "label")
                 m = _matrix_from_json(rec["matrix"], n)
                 meta = rec.get("meta", {})
-                if not isinstance(meta, dict):
-                    raise ValueError(f"meta must be a JSON object, got {json.dumps(meta)}")
-                if not math.isfinite(label):
-                    raise ValueError("label must be finite")
-                keys = [k for k in META_KEYS if k in meta]
-                for k in keys:
-                    if not math.isfinite(json_number(meta[k], f"meta {k}")):
-                        raise ValueError(f"meta {k} must be finite")
-                if n_first is None:
-                    n_first, first_keys = n, keys
-                elif n != n_first:
-                    raise ValueError(f"state has {n} qubits, the first record has {n_first}")
-                elif keys != first_keys:
-                    raise ValueError(f"meta has histogram keys {keys}, the first record has {first_keys}")
+                first = _check_record(n, label, meta, first)
             except (KeyError, TypeError, ValueError) as exc:
                 _checked_stack(path, buf, line_nos)
                 # a KeyError is a missing n, label or matrix
@@ -387,49 +445,83 @@ def read_dataset(path) -> list:
             metas.append(meta)
             line_nos.append(line_no)
     stack = _checked_stack(path, buf, line_nos)
-    return [LabeledState(DensityMatrix.prechecked(m, n_first), label, meta)
+    return [LabeledState(DensityMatrix.prechecked(m, first[0]), label, meta)
             for m, label, meta in zip(stack, labels, metas)]
 
 
 # ---------------------------------------------------------------------------
-# dataset generation
+# dataset generation: one (N, d, d) stack per split, drawn from the rng
+# stream that one item at a time would draw, with the same arithmetic
 
 
-def _sample_sphere(rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each row of v over its norm.  The norms are np.linalg.norm's of one
+    vector at a time: a norm along an axis sums in another order, and its
+    last bits would differ from the single-state samplers'."""
+    return v / np.array([np.linalg.norm(row) for row in v])[:, None]
 
 
-def _purity_item(rng) -> LabeledState:
-    rho = sample_bloch_ball(rng)
-    p = purity(rho)
-    return LabeledState(rho, float(p >= PURITY_LABEL_THRESHOLD), {"purity": p})
+def _purity_split(rng, size: int):
+    """sample_bloch_ball states; labels and meta from their purities."""
+    # each state draws its direction, then its radius: the draws interleave
+    v, u = np.empty((size, 3)), np.empty(size)
+    for k in range(size):
+        v[k], u[k] = rng.normal(size=3), rng.uniform()
+    stack = _bloch_matrices(np.cbrt(u)[:, None] * _unit_rows(v))
+    p = np.trace(stack @ stack, axis1=1, axis2=2).real
+    return stack, p >= PURITY_LABEL_THRESHOLD, [{"purity": x} for x in p.tolist()]
 
 
-def _entropy_item(rng) -> LabeledState:
-    rho = sample_haar_pure(2, rng)
-    s = renyi2_entropy(rho)
-    return LabeledState(rho, float(s >= ENTROPY_LABEL_THRESHOLD), {"entropy": s})
+def _entropy_split(rng, size: int):
+    """sample_haar_pure(2, rng) states; labels and meta from their entropies."""
+    z = rng.normal(size=(size, 2, 4))  # each state's real, then imaginary parts
+    psi = _unit_rows(z[:, 0] + 1j * z[:, 1])
+    stack = psi[:, :, None] * psi.conj()[:, None, :]
+    s = renyi2_entropy(stack)
+    return stack, s >= ENTROPY_LABEL_THRESHOLD, [{"entropy": x} for x in s.tolist()]
 
 
-def _band_item(rng) -> LabeledState:
-    r = _sample_sphere(rng)
-    return LabeledState(density_from_bloch(r), float(abs(r[2]) >= BAND_EDGE), {"r3": r[2]})
+def _band_split(rng, size: int):
+    """Pure qubit states, labelled by the band |r3| >= BAND_EDGE."""
+    r = _unit_rows(rng.normal(size=(size, 3)))
+    r3 = r[:, 2]
+    return _bloch_matrices(r), np.abs(r3) >= BAND_EDGE, [{"r3": x} for x in r3.tolist()]
 
 
-def _double_band_item(rng) -> LabeledState:
-    r = _sample_sphere(rng)
-    label = float(r[2] >= BAND_EDGE or -BAND_EDGE <= r[2] < 0.0)
-    return LabeledState(density_from_bloch(r), label, {"r3": r[2]})
+def _double_band_split(rng, size: int):
+    """Pure qubit states, labelled by the bands r3 >= BAND_EDGE and
+    -BAND_EDGE <= r3 < 0."""
+    r = _unit_rows(rng.normal(size=(size, 3)))
+    r3 = r[:, 2]
+    labels = (r3 >= BAND_EDGE) | ((-BAND_EDGE <= r3) & (r3 < 0.0))
+    return _bloch_matrices(r), labels, [{"r3": x} for x in r3.tolist()]
 
 
-def _psi_grid(count: int) -> list:
-    out = []
-    for k in range(count):
-        lam = -1.0 + 2.0 * (k + 1) / (count + 1)
-        t = np.sqrt((1.0 + lam) / 2.0)
-        out.append(LabeledState(psi_t(t), lam, {"lambda": lam, "t": float(t)}))
-    return out
+def _psi_grid(count: int):
+    """psi_t states on a uniform grid of lambda = 2 t^2 - 1 in (-1, 1)."""
+    lam = -1.0 + 2.0 * np.arange(1, count + 1) / (count + 1)
+    t = np.sqrt((1.0 + lam) / 2.0)
+    stack = _psi_t_matrices(t)
+    lam, t = lam.tolist(), t.tolist()
+    return stack, lam, [{"lambda": a, "t": b} for a, b in zip(lam, t)]
+
+
+_SPLIT_SAMPLERS = {
+    "purity": _purity_split,
+    "entropy": _entropy_split,
+    "band": _band_split,
+    "double-band": _double_band_split,
+}
+
+
+def _labeled_states(stack: np.ndarray, labels, metas) -> list:
+    """LabeledStates of one split, its stack checked by one density_fault."""
+    fault = density_fault(stack)
+    if fault is not None:
+        raise ValueError(f"state {fault[0]}: {fault[1]}")
+    n = _int_log2(stack.shape[-1])
+    return [LabeledState(DensityMatrix.prechecked(m, n), label, meta)
+            for m, label, meta in zip(stack, np.asarray(labels, dtype=float).tolist(), metas)]
 
 
 def generate_dataset(task: str, n_train: int, n_test: int, seed: int):
@@ -440,22 +532,21 @@ def generate_dataset(task: str, n_train: int, n_test: int, seed: int):
     qubit states, z-component bands) and psi-grid (uniform lambda grid in
     the open interval (-1, 1), label = lambda).  Labels can always be
     re-derived from the meta fields.  Both sizes must be at least 1.
+
+    Each split is built as one (N, d, d) stack: its labels and meta are
+    computed on the stack, and one density_fault call checks its states.
+    Train, then test, draw from one rng seeded by seed, the same stream
+    and arithmetic as sampling one item at a time with sample_bloch_ball
+    or sample_haar_pure, so the written files do not depend on the stacking.
     """
     for name, size in (("train", n_train), ("test", n_test)):
         if size < 1:
             raise ValueError(f"{name} size must be at least 1, got {size}")
     if task == "psi-grid":
-        return _psi_grid(n_train), _psi_grid(n_test)
-    samplers = {
-        "purity": _purity_item,
-        "entropy": _entropy_item,
-        "band": _band_item,
-        "double-band": _double_band_item,
-    }
-    if task not in samplers:
+        return _labeled_states(*_psi_grid(n_train)), _labeled_states(*_psi_grid(n_test))
+    if task not in _SPLIT_SAMPLERS:
         raise ValueError(f"unknown task {task!r}; choose from {DATASET_TASKS}")
     rng = np.random.default_rng(seed)
-    make = samplers[task]
-    train = [make(rng) for _ in range(n_train)]
-    test = [make(rng) for _ in range(n_test)]
+    train = _labeled_states(*_SPLIT_SAMPLERS[task](rng, n_train))
+    test = _labeled_states(*_SPLIT_SAMPLERS[task](rng, n_test))
     return train, test

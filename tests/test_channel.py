@@ -328,6 +328,35 @@ def test_model_json_rejects_mistyped_fields_by_name():
             model_from_json(json.dumps(rec))
 
 
+# one field of a valid model record removed or replaced by another JSON shape
+MALFORMED_MODELS = [
+    (r"b: missing", lambda rec: rec.pop("b")),
+    (r"theta: missing", lambda rec: rec["layers"][0].pop("theta")),
+    (r"variant: missing", lambda rec: rec["layers"][0]["coupling"].pop("variant")),
+    (r'layers: expected a JSON list, got "x"', lambda rec: rec.update(layers="x")),
+    (r"w: expected a JSON list, got 0.5", lambda rec: rec.update(w=0.5)),
+    (r"layer: expected a JSON object, got 3", lambda rec: rec.update(layers=[3])),
+    (r"coupling: expected a JSON object, got \[\]", lambda rec: rec["layers"][0].update(coupling=[])),
+    (r"word: expected a JSON list, got 3", lambda rec: rec["layers"][0].update(
+        coupling={"variant": "CU_alpha", "word": 3})),
+]
+
+
+@pytest.mark.parametrize("reason,edit", MALFORMED_MODELS,
+                         ids=[r.split(":")[0] for r, _ in MALFORMED_MODELS])
+def test_model_json_names_a_missing_or_misshapen_field(reason, edit):
+    rec = json.loads(model_to_json(ReuploadModel(1, [LayerSpec(0.1, CouplingSpec.cu_ij(1, 2))],
+                                                 np.zeros(3), 0.0)))
+    edit(rec)
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        model_from_json(json.dumps(rec))
+
+
+def test_model_json_rejects_a_record_that_is_not_an_object():
+    with pytest.raises(ValueError, match=r"^model: expected a JSON object, got \[1, 2\]$"):
+        model_from_json("[1, 2]")
+
+
 def test_affine_map_validation():
     with pytest.raises(ValueError):
         AffineBlochMap(np.eye(2), np.zeros(3))

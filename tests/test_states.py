@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reupsim.linalg import pauli_word_basis
+from reupsim.linalg import PAULIS, partial_trace, pauli_word_basis, swap_permutation
 from reupsim.states import (
+    BAND_EDGE,
+    DATASET_TASKS,
     ENTROPY_LABEL_THRESHOLD,
     PURITY_LABEL_THRESHOLD,
     DensityMatrix,
@@ -99,6 +101,13 @@ def test_renyi2_entropy_matches_reduced_purity():
         m = rho.matrix.reshape(2, 2, 2, 2)
         rho_a = np.einsum("abcb->ac", m)
         assert abs(renyi2_entropy(rho) + np.log(np.trace(rho_a @ rho_a).real)) < 1e-10
+
+
+def test_renyi2_entropy_of_a_stack_is_that_of_each_state():
+    rng = np.random.default_rng(4)
+    states = [sample_haar_pure(2, rng) for _ in range(6)]
+    stacked = renyi2_entropy(np.array([rho.matrix for rho in states]))
+    assert stacked.tolist() == [renyi2_entropy(rho) for rho in states]
 
 
 def test_renyi2_entropy_rejects_mixed_and_wrong_size():
@@ -374,3 +383,135 @@ def test_generate_dataset_deterministic():
     b, _ = generate_dataset("band", 5, 2, seed=42)
     for x, y in zip(a, b):
         assert np.array_equal(x.state.matrix, y.state.matrix)
+
+
+# ---------------------------------------------------------------------------
+# generate_dataset and write_dataset as they were, one state and one entry at
+# a time: the reference the stacked splits and the tolist() writer must match
+# byte for byte
+
+
+def _ref_bloch(r) -> DensityMatrix:
+    m = (PAULIS[0] + r[0] * PAULIS[1] + r[1] * PAULIS[2] + r[2] * PAULIS[3]) / 2
+    return DensityMatrix(m, 1)
+
+
+def _ref_purity(rho) -> float:
+    return float(np.trace(rho.matrix @ rho.matrix).real)
+
+
+def _ref_renyi2(rho) -> float:
+    assert abs(_ref_purity(rho) - 1.0) <= 1e-8
+    doubled = np.kron(rho.matrix, rho.matrix)
+    val = np.trace(doubled @ swap_permutation(2, 2)).real
+    rho_a = partial_trace(rho.matrix, 2, 2)
+    assert abs(val - np.trace(rho_a @ rho_a).real) <= 1e-10
+    return float(-np.log(val))
+
+
+def _ref_item(task, rng) -> LabeledState:
+    if task == "purity":
+        v = rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        rho = _ref_bloch(np.cbrt(rng.uniform()) * v)
+        p = _ref_purity(rho)
+        return LabeledState(rho, float(p >= PURITY_LABEL_THRESHOLD), {"purity": p})
+    if task == "entropy":
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        rho = DensityMatrix(np.outer(psi, psi.conj()), 2)
+        s = _ref_renyi2(rho)
+        return LabeledState(rho, float(s >= ENTROPY_LABEL_THRESHOLD), {"entropy": s})
+    v = rng.normal(size=3)
+    r = v / np.linalg.norm(v)
+    if task == "band":
+        label = float(abs(r[2]) >= BAND_EDGE)
+    else:
+        label = float(r[2] >= BAND_EDGE or -BAND_EDGE <= r[2] < 0.0)
+    return LabeledState(_ref_bloch(r), label, {"r3": r[2]})
+
+
+def _ref_psi_grid(count: int) -> list:
+    out = []
+    for k in range(count):
+        lam = -1.0 + 2.0 * (k + 1) / (count + 1)
+        t = np.sqrt((1.0 + lam) / 2.0)
+        amp = np.array([t, np.sqrt(1.0 - t * t)], dtype=complex)
+        rho = DensityMatrix(np.outer(amp, amp.conj()), 1)
+        out.append(LabeledState(rho, lam, {"lambda": lam, "t": float(t)}))
+    return out
+
+
+def _ref_generate(task, n_train, n_test, seed):
+    if task == "psi-grid":
+        return _ref_psi_grid(n_train), _ref_psi_grid(n_test)
+    rng = np.random.default_rng(seed)
+    train = [_ref_item(task, rng) for _ in range(n_train)]
+    return train, [_ref_item(task, rng) for _ in range(n_test)]
+
+
+def _ref_write(path, dataset) -> None:
+    with open(path, "w") as fh:
+        for item in dataset:
+            rec = {
+                "n": item.state.n_qubits,
+                "matrix": [[[float(x.real), float(x.imag)] for x in row]
+                           for row in item.state.matrix],
+                "label": float(item.label),
+                "meta": item.meta,
+            }
+            fh.write(json.dumps(rec) + "\n")
+
+
+def _types(split) -> list:
+    return [(type(x.label), {k: type(v) for k, v in x.meta.items()}) for x in split]
+
+
+@pytest.mark.parametrize("task,sizes,seed", [
+    *[(task, sizes, seed) for task in DATASET_TASKS
+      for sizes in ((1, 1), (37, 5)) for seed in (0, 1, 2)],
+    ("entropy", (1000, 500), 1),  # the entropy-train benchmark's dataset
+])
+def test_generate_dataset_writes_the_bytes_of_one_item_at_a_time(tmp_path, task, sizes, seed):
+    new, ref = tmp_path / "new.jsonl", tmp_path / "ref.jsonl"
+    splits = zip(generate_dataset(task, *sizes, seed), _ref_generate(task, *sizes, seed))
+    for split, ref_split in splits:
+        write_dataset(new, split)
+        _ref_write(ref, ref_split)
+        assert new.read_bytes() == ref.read_bytes()
+        if task == "psi-grid":  # quartic-fit reads these values, types included
+            assert _types(split) == _types(ref_split)
+
+
+def test_generate_dataset_checks_each_split_with_one_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    generate_dataset("entropy", 1000, 500, seed=0)
+    assert calls == [(1000, 4, 4), (500, 4, 4)]
+
+
+def _qubit(label=0.0, meta=None) -> LabeledState:
+    return LabeledState(density_from_bloch([0.0, 0.0, 0.5]), label, {} if meta is None else meta)
+
+
+# datasets read_dataset would reject once written, and the writer's reason
+UNWRITABLE = {
+    "mixed qubit counts": ([_qubit(), LabeledState(BELL, 0.0, {})],
+                           r"item 1: state has 2 qubits, the first record has 1"),
+    "NaN label": ([_qubit(), _qubit(label=float("nan"))], r"item 1: label must be finite"),
+    "infinite meta": ([_qubit(meta={"purity": float("inf")})],
+                      r"item 0: meta purity must be finite"),
+    "other histogram keys": ([_qubit(meta={"r3": 0.5}), _qubit(meta={"purity": 0.5})],
+                             r"item 1: meta has histogram keys \['purity'\], "
+                             r"the first record has \['r3'\]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE))
+def test_write_dataset_refuses_what_read_dataset_rejects(tmp_path, case):
+    data, reason = UNWRITABLE[case]
+    path = tmp_path / "data.jsonl"
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        write_dataset(path, data)
+    assert not path.exists()
