@@ -6,13 +6,15 @@ state's Pauli coefficients: each layer multiplies the in-plane signal
 components by one coefficient lam_alpha, and z-rotations move weight between
 the fixed x component and the scaled plane.  `_readout_polynomials` pushes
 the layers' transfer tensors through coefficient space, the one exact
-coefficient chain behind every route; `extract_coefficients` reads a circuit
-back independently, from probe inputs.  `schedule_layers` lays out one
-block of couplings per target monomial, `compile_univariate_delta` realizes
-univariate targets to second order in a small angle scale, and
-`fit_coefficients` drives the residual down with one damped Gauss-Newton fit
-over every angle and the readout, or uses an exact one-hot, two-squares or
-near-singular kick construction for the targets those cover.
+coefficient chain behind every route, and `_readout_jacobian` carries its
+derivatives in the layer angles through the same push (`_push_layer`);
+`extract_coefficients` reads a circuit back independently, from probe
+inputs.  `schedule_layers` lays out one block of couplings per target
+monomial, `compile_univariate_delta` realizes univariate targets to second
+order in a small angle scale, and `fit_coefficients` drives the residual
+down with one damped Gauss-Newton fit over every angle and the readout, or
+uses an exact one-hot, two-squares or near-singular kick construction for
+the targets those cover.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, fd_jacobian, unitary_to_generator
+from .linalg import PAULIS, unitary_to_generator
 from .states import PauliWord
 from .channel import (
     CouplingSpec,
@@ -35,8 +37,6 @@ from .channel import (
 )
 
 CHECK_ROW_ATOL = 1e-8
-# central-difference step of jacobian_theta0
-JACOBIAN_FD_STEP = 1e-5
 
 # knob for the diagonal-quadratic construction; the unmatched cross terms it
 # leaves behind scale linearly with this, the readout weights inversely
@@ -297,7 +297,7 @@ def _extract_univariate(model: ReuploadModel) -> np.ndarray:
 # Jacobian of the coefficient map at the zero-angle point
 
 def jacobian_theta0(n_layers: int) -> np.ndarray:
-    """Central-difference Jacobian of the coefficient ladder at theta = 0.
+    """Exact Jacobian of the coefficient ladder at theta = 0.
 
     Parameters are ordered (theta_1 .. theta_L, w1, w2, w3, b) around the
     point theta = 0, w = (0, 1, 0), b = 0 of an L-layer single-variable
@@ -307,15 +307,9 @@ def jacobian_theta0(n_layers: int) -> np.ndarray:
     """
     if n_layers < 1:
         raise ValueError("need at least one layer")
-    L = n_layers
-    p0 = np.zeros(L + 4)
-    p0[L + 1] = 1.0  # w2
-
-    def coeffs(p):
-        layers = [LayerSpec(th, CouplingSpec.cnot()) for th in p[:L]]
-        return _univariate_coeffs(ReuploadModel(1, layers, p[L : L + 3], p[L + 3]))
-
-    return fd_jacobian(coeffs, p0, JACOBIAN_FD_STEP)
+    layers = [LayerSpec(0.0, CouplingSpec.cnot()) for _ in range(n_layers)]
+    model = ReuploadModel(1, layers, np.array([0.0, 1.0, 0.0]), 0.0)
+    return _readout_jacobian(model, [3], [n_layers + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -328,26 +322,65 @@ def _su2(axis, angle: float) -> np.ndarray:
     return np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * gen
 
 
+def _push_layer(t: np.ndarray, c: np.ndarray, variables) -> np.ndarray:
+    """The (r1, r2, r3) coefficient tensors after the layer with transfer
+    tensor t, from the (1, r1, r2, r3) tensors c before it.
+
+    c has shape (4, *batch, *shape), the polynomial axes last.  One product
+    applies t's alpha = 0 slice and each alpha = variables[k] slice to c's
+    first axis; the latter multiplies by lam_alpha, a shift along the k-th
+    polynomial axis, and degrees past shape are dropped.
+    """
+    K = len(variables)
+    parts = t[:, :, [0, *variables]].transpose(2, 0, 1).reshape(-1, 4) @ c.reshape(4, -1)
+    parts = parts.reshape(K + 1, 3, *c.shape[1:])
+    r = parts[0]
+    lead = (slice(None),) * (c.ndim - K)
+    for k in range(K):
+        up = lead + (slice(None),) * k
+        r[up + (slice(1, None),)] += parts[k + 1][up + (slice(None, -1),)]
+    return r
+
+
 def _readout_polynomials(model: ReuploadModel, variables, shape) -> np.ndarray:
     """Coefficient tensors of (1, r1, r2, r3) as polynomials in the lam at
     variables, shape (4, *shape).
 
     c[:, e_1, .., e_K] is the coefficient of prod lam_{variables[k]}^e_k.
-    Each layer's transfer tensor acts on c as on (1, r); its alpha =
-    variables[k] slice multiplies by lam_alpha, a shift along axis k.  Other
-    words count as zero, and degrees past shape are dropped.
+    Each layer's transfer tensor acts on c as on (1, r) (_push_layer).
+    Other words count as zero, and degrees past shape are dropped.
     """
     c = np.zeros((4, *shape))
     c[(slice(None),) + (0,) * len(shape)] = [1.0, *initial_bloch(model.initial_signal)]
     for layer in model.layers:
-        t = layer_transfer_tensor(layer, model.n_qubits)
-        r = np.tensordot(t[:, :, 0], c, axes=1)
-        for k, alpha in enumerate(variables):
-            scaled = np.tensordot(t[:, :, alpha], c, axes=1)
-            up = (slice(None),) * (k + 1)
-            r[up + (slice(1, None),)] += scaled[up + (slice(None, -1),)]
-        c[1:] = r
+        c[1:] = _push_layer(layer_transfer_tensor(layer, model.n_qubits), c, variables)
     return c
+
+
+def _readout_jacobian(model: ReuploadModel, variables, shape) -> np.ndarray:
+    """Exact Jacobian of the readout's coefficients, flattened as in
+    _coefficient_system, in p = (theta_1 .. theta_L, w1, w2, w3, b).
+
+    A forward-mode tangent of _readout_polynomials: slot 0 of c carries the
+    coefficient tensors, slot l their derivative in theta_l.  Every transfer
+    tensor is t = t_C (1 (+) R(theta)) on the j axis, so dt/dtheta = t Omega
+    with Omega[x, y] = -1, Omega[y, x] = 1: the tangent of theta_l enters
+    layer l as Omega (1, r), that is (0, -r2, r1, 0) of the coefficients
+    before it, and each layer pushes every slot so far at once.  The theta
+    columns are the tangents contracted with w, the (w, b) columns the
+    coefficients themselves.
+    """
+    L = len(model.layers)
+    c = np.zeros((4, L + 1, *shape))
+    c[(slice(None), 0) + (0,) * len(shape)] = [1.0, *initial_bloch(model.initial_signal)]
+    for l, layer in enumerate(model.layers, start=1):
+        c[1, l] = -c[2, 0]
+        c[2, l] = c[1, 0]
+        c[1:, : l + 1] = _push_layer(layer_transfer_tensor(layer, model.n_qubits),
+                                     c[:, : l + 1], variables)
+    c = c.reshape(4, L + 1, -1)
+    thetas = np.tensordot(model.readout_w, c[1:, 1:], axes=1).T
+    return np.concatenate([thetas, c[[1, 2, 3, 0], 0].T], axis=1)
 
 
 def _target_tensor(poly: PolynomialSpec, variables, shape) -> np.ndarray:
@@ -362,6 +395,14 @@ def _target_tensor(poly: PolynomialSpec, variables, shape) -> np.ndarray:
     return t
 
 
+def _system_axes(poly: PolynomialSpec):
+    """Scheduled variables, ascending, and the coefficient shape: each
+    variable's degree runs up to its count in the schedule."""
+    var_seq = _schedule_variables(poly)
+    variables = sorted(set(var_seq))
+    return variables, [var_seq.count(v) + 1 for v in variables]
+
+
 def _coefficient_system(model: ReuploadModel, poly: PolynomialSpec, target=None):
     """Readout coefficients of model against those of the target polynomial.
 
@@ -371,9 +412,7 @@ def _coefficient_system(model: ReuploadModel, poly: PolynomialSpec, target=None)
     readout's coefficients, and target is flattened the same way.  A target
     from an earlier call for the same poly is passed back unchanged.
     """
-    var_seq = _schedule_variables(poly)
-    variables = sorted(set(var_seq))
-    shape = [var_seq.count(v) + 1 for v in variables]
+    variables, shape = _system_axes(poly)
     c = _readout_polynomials(model, variables, shape)
     if target is None:
         target = _target_tensor(poly, variables, shape).ravel()
@@ -387,11 +426,12 @@ def _circuit_residual(model: ReuploadModel, poly: PolynomialSpec) -> float:
     return float(np.max(np.abs(a @ wb - target)))
 
 
-def _damped_gauss_newton(residual, p: np.ndarray, max_iter: int, stop: float):
+def _damped_gauss_newton(residual, jacobian, p: np.ndarray, max_iter: int, stop: float):
     """Drive the sup norm of residual(p) down; returns (p, sup norm).
 
-    Each step solves the damped normal equations of the finite-difference
-    Jacobian and halves the step up to 20 times until the sup norm drops.
+    Each step solves the damped normal equations of jacobian(p), the exact
+    Jacobian of residual at p, and halves the step up to 20 times until the
+    sup norm drops.
     Stops below stop, after max_iter steps, or when no halving helps.
     """
     r = residual(p)
@@ -399,7 +439,7 @@ def _damped_gauss_newton(residual, p: np.ndarray, max_iter: int, stop: float):
     for _ in range(max_iter):
         if best < stop:
             break
-        jac = fd_jacobian(residual, p, 1e-6)
+        jac = jacobian(p)
         step, *_ = np.linalg.lstsq(jac.T @ jac + 1e-6 * np.eye(p.size), -jac.T @ r, rcond=None)
         scale = 1.0
         for _ in range(20):
@@ -420,9 +460,12 @@ def _fit_gauss_newton(poly: PolynomialSpec, starts) -> CompiledCircuit:
 
     Each start runs until the sup-norm coefficient error drops below 1e-12;
     the search keeps the best run and stops at the first under FIT_TOL.
+    Residuals come from _coefficient_system, the Jacobian from
+    _readout_jacobian.
     """
     couplings = schedule_layers(poly)
     L = len(couplings)
+    variables, shape = _system_axes(poly)
 
     def circuit(p):
         layers = [LayerSpec(float(th), c) for th, c in zip(p[:L], couplings)]
@@ -435,9 +478,12 @@ def _fit_gauss_newton(poly: PolynomialSpec, starts) -> CompiledCircuit:
         a, target = _coefficient_system(circuit(p), poly, target)
         return a @ p[L:] - target
 
+    def jacobian(p):
+        return _readout_jacobian(circuit(p), variables, shape)
+
     best_p, best_res = None, np.inf
     for p in starts:
-        p, res = _damped_gauss_newton(residual, p, FIT_MAX_ITER, 1e-12)
+        p, res = _damped_gauss_newton(residual, jacobian, p, FIT_MAX_ITER, 1e-12)
         if res < best_res:
             best_p, best_res = p, res
         if best_res < FIT_TOL:

@@ -371,26 +371,33 @@ def write_dataset(path, dataset) -> None:
     that is not finite, meta whose histogram keys (META_KEYS) are not finite
     JSON numbers or differ from the first item's, and states of another
     qubit count than the first item's.  The ValueError reads `item K: reason`
-    and names the field.  Each matrix goes out through one tolist() of its
-    [re, im] pairs, which keeps every bit of every entry.
+    and names the field, meta's when json.dumps cannot encode it.  Every
+    line is encoded before path is opened, so a refused dataset leaves no
+    file behind.  Each matrix goes out through one tolist() of its [re, im]
+    pairs, which keeps every bit of every entry.
     """
-    dataset = list(dataset)
     first = None
+    lines = []
     for k, item in enumerate(dataset):
         try:
-            first = _check_record(item.state.n_qubits, float(item.label), item.meta, first)
+            label = float(item.label)
+            first = _check_record(item.state.n_qubits, label, item.meta, first)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"item {k}: {exc}") from exc
+        m = np.ascontiguousarray(item.state.matrix, dtype=complex)
+        rec = {
+            "n": item.state.n_qubits,
+            "matrix": m.view(float).reshape(*m.shape, 2).tolist(),
+            "label": label,
+            "meta": item.meta,
+        }
+        try:
+            lines.append(json.dumps(rec) + "\n")
+        except (TypeError, ValueError) as exc:
+            # only meta can hold what JSON cannot encode
+            raise ValueError(f"item {k}: meta: {exc}") from exc
     with open(path, "w") as fh:
-        for item in dataset:
-            m = np.ascontiguousarray(item.state.matrix, dtype=complex)
-            rec = {
-                "n": item.state.n_qubits,
-                "matrix": m.view(float).reshape(*m.shape, 2).tolist(),
-                "label": float(item.label),
-                "meta": item.meta,
-            }
-            fh.write(json.dumps(rec) + "\n")
+        fh.writelines(lines)
 
 
 def _checked_stack(path, buf: np.ndarray, line_nos: list) -> np.ndarray:
@@ -406,7 +413,8 @@ def _checked_stack(path, buf: np.ndarray, line_nos: list) -> np.ndarray:
 def read_dataset(path) -> list:
     """Read a JSONL dataset, checking the states of the file as one stack.
 
-    Each line is parsed on its own and its fields checked by type: n must be
+    Each line is parsed on its own and must be a JSON object (the record),
+    whose fields are checked by type: n must be
     a positive JSON integer, label a finite JSON number (not a bool), matrix
     2**n rows of 2**n [re, im] pairs of JSON numbers, with the first
     record's n.  meta must be a JSON object whose META_KEYS are finite JSON
@@ -425,7 +433,7 @@ def read_dataset(path) -> list:
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec = json_object(json.loads(line), "record")
                 n = json_int(rec["n"], "n")
                 label = json_number(rec["label"], "label")
                 m = _matrix_from_json(rec["matrix"], n)

@@ -91,6 +91,21 @@ class TestTrain:
             assert code == 2
             assert "line 2" in capsys.readouterr().err
 
+    def test_line_that_is_not_an_object_is_usage_error(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(["gen-dataset", "--task", "band", "--train-size", 3,
+             "--test-size", 2, "--seed", 0, "--out", ds])
+        path = ds / "train.jsonl"
+        lines = path.read_text().splitlines()
+        lines[0] = "[1, 2]"
+        path.write_text("\n".join(lines) + "\n")
+        code = run(["train", "--dataset", ds, "--layers", 1, "--epochs", 1,
+                    "--out", tmp_path / "out"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line 1: record: expected a JSON object, got [1, 2]" in err
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_label_is_usage_error(self, tmp_path, capsys):
         ds = tmp_path / "ds"
         run(["gen-dataset", "--task", "band", "--train-size", 3,

@@ -1,21 +1,25 @@
 import numpy as np
 import pytest
 
-from reupsim import compiler
+from reupsim import compiler, linalg
 from reupsim.channel import CouplingSpec, LayerSpec, ReuploadModel, run_model
 from reupsim.compiler import (
+    FIT_TOL,
     CompileError,
     CompiledCircuit,
     MonomialSpec,
     PolynomialSpec,
     _circuit_residual,
+    _coefficient_system,
+    _readout_jacobian,
+    _system_axes,
     compile_univariate_delta,
     extract_coefficients,
     fit_coefficients,
     jacobian_theta0,
     schedule_layers,
 )
-from reupsim.linalg import HermitianGenerator
+from reupsim.linalg import HermitianGenerator, fd_jacobian
 from reupsim.states import density_from_bloch, psi_t
 
 # quartic from the reproduction presets: 3(x+0.8)x(x-0.5)^2 + 0.3 expanded
@@ -254,6 +258,65 @@ class TestJacobian:
             jacobian_theta0(0)
 
 
+# schedules of the Gauss-Newton fit: CU_ij layers on one qubit, CU_alpha
+# layers on two, each over two or three variables
+FIT_SCHEDULES = {
+    "n1-two-vars": PolynomialSpec(1, 0.1, [MonomialSpec(0.3, {1: 1, 3: 2})]),
+    "n1-three-vars": PolynomialSpec(1, 0.1, [MonomialSpec(0.3, {1: 1, 2: 1}),
+                                             MonomialSpec(0.2, {3: 1}),
+                                             MonomialSpec(-0.1, {1: 1})]),
+    "n2-two-vars": PolynomialSpec(2, 0.0, [MonomialSpec(0.6, {5: 1, 10: 1}),
+                                           MonomialSpec(0.2, {5: 2})]),
+    "n2-three-vars": PolynomialSpec(2, 0.0, [MonomialSpec(0.6, {5: 1, 10: 1}),
+                                             MonomialSpec(0.2, {7: 1})]),
+}
+
+
+class TestReadoutJacobian:
+    @pytest.mark.parametrize("first_layer", ["scheduled", "general"])
+    @pytest.mark.parametrize("initial_signal", ["plus", "zero"])
+    @pytest.mark.parametrize("name", sorted(FIT_SCHEDULES))
+    def test_matches_central_differences(self, name, initial_signal, first_layer):
+        poly = FIT_SCHEDULES[name]
+        rng = np.random.default_rng(sorted(FIT_SCHEDULES).index(name))
+        couplings = schedule_layers(poly)
+        if first_layer == "general":
+            # restricted layers never move a "zero" start off the z axis, so
+            # the angles act only after a General layer has
+            m = poly.n_qubits + 1
+            couplings[0] = CouplingSpec.general(HermitianGenerator(m, rng.normal(size=4**m - 1)))
+        L = len(couplings)
+        variables, shape = _system_axes(poly)
+
+        def model(p):
+            layers = [LayerSpec(float(th), c) for th, c in zip(p[:L], couplings)]
+            return ReuploadModel(poly.n_qubits, layers, p[L : L + 3], float(p[L + 3]),
+                                 initial_signal)
+
+        def readout_coeffs(p):
+            return _coefficient_system(model(p), poly)[0] @ p[L:]
+
+        for _ in range(3):
+            p = rng.normal(size=L + 4)
+            jac = _readout_jacobian(model(p), variables, shape)
+            want = fd_jacobian(readout_coeffs, p, 1e-5)
+            assert jac.shape == want.shape
+            np.testing.assert_allclose(jac, want, rtol=0, atol=1e-7 * np.max(np.abs(want)))
+
+
+# the benchmark's target for each fit_coefficients route
+BENCH_ROUTES = [
+    PolynomialSpec(1, 0.2, [MonomialSpec(-0.5, {3: 1}), MonomialSpec(0.4, {3: 2}),
+                            MonomialSpec(0.3, {3: 3})]),
+    PolynomialSpec(2, 0.1, [MonomialSpec(0.6, {5: 1, 10: 1})]),
+    PolynomialSpec(1, 0.05, [MonomialSpec(0.4, {1: 2}), MonomialSpec(-0.3, {2: 2})]),
+    PolynomialSpec(1, 0.0, [MonomialSpec(0.3, {1: 2}), MonomialSpec(0.2, {2: 2}),
+                            MonomialSpec(-0.25, {3: 2})]),
+    PolynomialSpec(1, 0.1, [MonomialSpec(0.3, {1: 1, 2: 1}), MonomialSpec(0.2, {3: 1})]),
+]
+BENCH_ROUTE_IDS = ["univariate", "monomial", "two_squares", "kick", "general"]
+
+
 class TestFit:
     def test_linear_target_exact(self):
         p = PolynomialSpec(1, 0.0, [MonomialSpec(1.0, {3: 1})])
@@ -324,21 +387,32 @@ class TestFit:
         assert err.value.residual is not None
         assert 1e-9 < err.value.residual <= 1e-6
 
+    def test_unreachable_target_raises_with_its_circuit(self):
+        # the general route stops short of tolerance on this target
+        poly = PolynomialSpec(1, 0.1, [MonomialSpec(0.3, {1: 1, 2: 1}), MonomialSpec(-0.2, {3: 2}),
+                                       MonomialSpec(0.1, {1: 1})])
+        with pytest.raises(CompileError) as err:
+            fit_coefficients(poly)
+        assert err.value.circuit is not None
+        assert err.value.residual == _circuit_residual(err.value.circuit.model, poly)
+        assert err.value.residual > FIT_TOL
+
     def test_compiled_circuit_records_schedule(self):
         circ = fit_coefficients(purity_spec())
         assert isinstance(circ, CompiledCircuit)
         assert len(circ.model.layers) == 6
         assert set(circ.active_layers) <= set(range(1, 7))
 
-    @pytest.mark.parametrize("poly", [
-        PolynomialSpec(1, 0.2, [MonomialSpec(-0.5, {3: 1}), MonomialSpec(0.4, {3: 2}),
-                                MonomialSpec(0.3, {3: 3})]),
-        PolynomialSpec(2, 0.1, [MonomialSpec(0.6, {5: 1, 10: 1})]),
-        PolynomialSpec(1, 0.05, [MonomialSpec(0.4, {1: 2}), MonomialSpec(-0.3, {2: 2})]),
-        PolynomialSpec(1, 0.0, [MonomialSpec(0.3, {1: 2}), MonomialSpec(0.2, {2: 2}),
-                                MonomialSpec(-0.25, {3: 2})]),
-        PolynomialSpec(1, 0.1, [MonomialSpec(0.3, {1: 1, 2: 1}), MonomialSpec(0.2, {3: 1})]),
-    ], ids=["univariate", "monomial", "two_squares", "kick", "general"])
+    @pytest.mark.parametrize("poly", BENCH_ROUTES, ids=BENCH_ROUTE_IDS)
     def test_reported_residual_is_the_models(self, poly):
         circ = fit_coefficients(poly)
         assert circ.residual == _circuit_residual(circ.model, poly)
+
+    @pytest.mark.parametrize("poly", BENCH_ROUTES, ids=BENCH_ROUTE_IDS)
+    def test_no_finite_difference_step_in_compiling(self, poly, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("finite-difference Jacobian called while compiling")
+
+        monkeypatch.setattr(linalg, "fd_jacobian", refuse)
+        monkeypatch.setattr(compiler, "fd_jacobian", refuse, raising=False)
+        assert fit_coefficients(poly).residual <= FIT_TOL

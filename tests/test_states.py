@@ -216,6 +216,14 @@ def test_read_dataset_reports_line_number(tmp_path):
             read_dataset(path)
 
 
+def test_read_dataset_names_a_line_that_is_not_an_object(tmp_path):
+    path = tmp_path / "list.jsonl"
+    path.write_text("[1, 2]\n" + GOOD_RECORD + "\n")
+    with pytest.raises(ValueError, match=r"list\.jsonl: line 1: record: "
+                                         r"expected a JSON object, got \[1, 2\]$"):
+        read_dataset(path)
+
+
 def test_read_dataset_rejects_mixed_qubit_counts(tmp_path):
     path = tmp_path / "mixed.jsonl"
     path.write_text(GOOD_RECORD + "\n" + GOOD_RECORD + "\n" + _two_qubit_record() + "\n")
@@ -505,6 +513,9 @@ UNWRITABLE = {
     "other histogram keys": ([_qubit(meta={"r3": 0.5}), _qubit(meta={"purity": 0.5})],
                              r"item 1: meta has histogram keys \['purity'\], "
                              r"the first record has \['r3'\]"),
+    # a meta value json.dumps cannot encode, under a key read_dataset does not check
+    "unencodable meta": ([_qubit(), _qubit(meta={"t": np.float32(0.5)})],
+                         r"item 1: meta: Object of type float32 is not JSON serializable"),
 }
 
 
