@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -76,15 +77,8 @@ def _grid_items(fn) -> list:
     return [LabeledState(it.state, fn(it.meta["lambda"]), it.meta) for it in items]
 
 
-class _Row:
-    """One tolerance line of a reproduction table."""
-
-    def __init__(self, name: str, reference, obtained, criterion: str, ok: bool):
-        self.name = name
-        self.reference = reference
-        self.obtained = obtained
-        self.criterion = criterion
-        self.ok = ok
+# one tolerance line of a reproduction table
+_Row = namedtuple("_Row", "name reference obtained criterion ok")
 
 
 def _print_rows(rows) -> int:

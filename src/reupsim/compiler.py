@@ -4,17 +4,17 @@ parameters.
 A scheduled layer stack realizes the readout as a polynomial in the uploaded
 state's Pauli coefficients: each layer multiplies the in-plane signal
 components by one coefficient lam_alpha, and z-rotations move weight between
-the fixed x component and the scaled plane.  `_readout_polynomials` pushes
-the layers' transfer tensors through coefficient space, the one exact
-coefficient chain behind every route, and `_readout_jacobian` carries its
-derivatives in the layer angles through the same push (`_push_layer`);
-`extract_coefficients` reads a circuit back independently, from probe
-inputs.  `schedule_layers` lays out one block of couplings per target
-monomial, `compile_univariate_delta` realizes univariate targets to second
-order in a small angle scale, and `fit_coefficients` drives the residual
-down with one damped Gauss-Newton fit over every angle and the readout, or
-uses an exact one-hot, two-squares or near-singular kick construction for
-the targets those cover.
+the fixed x component and the scaled plane.  `_readout_chain` pushes the
+layers' transfer tensors through coefficient space together with their
+derivatives in the layer angles, the one exact coefficient chain behind
+every route; `_readout_system` reads the readout's coefficients and their
+exact Jacobian off it.  `extract_coefficients` reads a circuit back
+independently, from probe inputs.  `schedule_layers` lays out one block of
+couplings per target monomial, `compile_univariate_delta` realizes a
+univariate coefficient ladder to second order in a small angle scale, and
+`fit_coefficients` drives the residual down with one damped Gauss-Newton fit
+over every angle and the readout, or uses an exact one-hot, two-squares or
+near-singular kick construction for the targets those cover.
 """
 
 from __future__ import annotations
@@ -164,24 +164,13 @@ def _univariate_coeffs(model: ReuploadModel) -> np.ndarray:
     """Readout coefficient ladder (degree 0..L) of a stack whose couplings
     all scale by one variable, exact in float arithmetic."""
     alpha = model.layers[0].coupling.pauli_pair[1]
-    c = _readout_polynomials(model, [alpha], [len(model.layers) + 1])
+    c = _readout_chain(model, [alpha], [len(model.layers) + 1])[:, 0]
     return model.readout_w @ c[1:] + model.readout_b * c[0]
 
 
-def _univariate_target_vector(target) -> np.ndarray:
-    """Coefficient ladder (degree 0..L) of a univariate target."""
-    if isinstance(target, PolynomialSpec):
-        if len(target.variables) > 1:
-            raise ValueError("target is not univariate")
-        return _target_tensor(target, target.variables, [target.schedule_length + 1])
-    v = np.asarray(target, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("expected a 1d coefficient vector")
-    return v.copy()
-
-
 def compile_univariate_delta(target, delta: float) -> CompiledCircuit:
-    """Small-angle compilation of a univariate target, error O(delta^2).
+    """Small-angle compilation of a coefficient ladder v (degree 0..L) on L
+    CNOT layers, error O(delta^2).
 
     theta_l = v[L+1-l] * delta puts each target coefficient into its own
     readout degree through the one-hot identity; w = (0, 1/delta, 0) undoes
@@ -189,21 +178,15 @@ def compile_univariate_delta(target, delta: float) -> CompiledCircuit:
     """
     if not 0.0 < delta <= 0.1:
         raise ValueError(f"delta must lie in (0, 0.1], got {delta}")
-    v = _univariate_target_vector(target)
+    v = np.array(target, dtype=float)
+    if v.ndim != 1 or v.size < 1:
+        raise ValueError("expected a 1d coefficient vector")
     L = v.size - 1
-    if isinstance(target, PolynomialSpec) and L >= 1:
-        couplings = schedule_layers(target)
-        n_qubits = target.n_qubits
-    else:
-        couplings = [CouplingSpec.cnot() for _ in range(max(L, 1))]
-        n_qubits = 1
     if L == 0:
-        model = ReuploadModel(n_qubits, [LayerSpec(0.0, couplings[0])], np.zeros(3), v[0])
+        model = ReuploadModel(1, [LayerSpec(0.0, CouplingSpec.cnot())], np.zeros(3), v[0])
         return CompiledCircuit(model, [], delta=delta, residual=0.0)
-    thetas = [v[L + 1 - l] * delta for l in range(1, L + 1)]
-    w = np.array([0.0, 1.0 / delta, 0.0])
-    layers = [LayerSpec(th, c) for th, c in zip(thetas, couplings)]
-    model = ReuploadModel(n_qubits, layers, w, v[0])
+    layers = [LayerSpec(v[L + 1 - l] * delta, CouplingSpec.cnot()) for l in range(1, L + 1)]
+    model = ReuploadModel(1, layers, np.array([0.0, 1.0 / delta, 0.0]), v[0])
     realized = _univariate_coeffs(model)
     return CompiledCircuit(
         model, list(range(1, L + 1)), delta=delta, residual=float(np.max(np.abs(realized - v)))
@@ -309,7 +292,7 @@ def jacobian_theta0(n_layers: int) -> np.ndarray:
         raise ValueError("need at least one layer")
     layers = [LayerSpec(0.0, CouplingSpec.cnot()) for _ in range(n_layers)]
     model = ReuploadModel(1, layers, np.array([0.0, 1.0, 0.0]), 0.0)
-    return _readout_jacobian(model, [3], [n_layers + 1])
+    return _readout_system(model, [3], [n_layers + 1])[1]
 
 
 # ---------------------------------------------------------------------------
@@ -342,33 +325,20 @@ def _push_layer(t: np.ndarray, c: np.ndarray, variables) -> np.ndarray:
     return r
 
 
-def _readout_polynomials(model: ReuploadModel, variables, shape) -> np.ndarray:
+def _readout_chain(model: ReuploadModel, variables, shape) -> np.ndarray:
     """Coefficient tensors of (1, r1, r2, r3) as polynomials in the lam at
-    variables, shape (4, *shape).
+    variables, with their derivatives in the layer angles: shape
+    (4, L+1, *shape), slot 0 the tensors and slot l their derivative in
+    theta_l.
 
-    c[:, e_1, .., e_K] is the coefficient of prod lam_{variables[k]}^e_k.
-    Each layer's transfer tensor acts on c as on (1, r) (_push_layer).
-    Other words count as zero, and degrees past shape are dropped.
-    """
-    c = np.zeros((4, *shape))
-    c[(slice(None),) + (0,) * len(shape)] = [1.0, *initial_bloch(model.initial_signal)]
-    for layer in model.layers:
-        c[1:] = _push_layer(layer_transfer_tensor(layer, model.n_qubits), c, variables)
-    return c
-
-
-def _readout_jacobian(model: ReuploadModel, variables, shape) -> np.ndarray:
-    """Exact Jacobian of the readout's coefficients, flattened as in
-    _coefficient_system, in p = (theta_1 .. theta_L, w1, w2, w3, b).
-
-    A forward-mode tangent of _readout_polynomials: slot 0 of c carries the
-    coefficient tensors, slot l their derivative in theta_l.  Every transfer
-    tensor is t = t_C (1 (+) R(theta)) on the j axis, so dt/dtheta = t Omega
-    with Omega[x, y] = -1, Omega[y, x] = 1: the tangent of theta_l enters
-    layer l as Omega (1, r), that is (0, -r2, r1, 0) of the coefficients
-    before it, and each layer pushes every slot so far at once.  The theta
-    columns are the tangents contracted with w, the (w, b) columns the
-    coefficients themselves.
+    c[:, 0, e_1, .., e_K] is the coefficient of prod lam_{variables[k]}^e_k.
+    Each layer's transfer tensor acts on every slot as on (1, r)
+    (_push_layer); other words count as zero, and degrees past shape are
+    dropped.  Every transfer tensor is t = t_C (1 (+) R(theta)) on the j
+    axis, so dt/dtheta = t Omega with Omega[x, y] = -1, Omega[y, x] = 1: the
+    tangent of theta_l enters layer l as Omega (1, r), that is (0, -r2, r1,
+    0) of the coefficients before it, and each layer pushes every slot so far
+    at once.
     """
     L = len(model.layers)
     c = np.zeros((4, L + 1, *shape))
@@ -378,9 +348,19 @@ def _readout_jacobian(model: ReuploadModel, variables, shape) -> np.ndarray:
         c[2, l] = c[1, 0]
         c[1:, : l + 1] = _push_layer(layer_transfer_tensor(layer, model.n_qubits),
                                      c[:, : l + 1], variables)
-    c = c.reshape(4, L + 1, -1)
+    return c
+
+
+def _readout_system(model: ReuploadModel, variables, shape):
+    """(a, jacobian) off one _readout_chain: a has columns r1, r2, r3, 1, so
+    a @ (w, b) are the readout's coefficients, flattened, and jacobian is
+    their exact Jacobian in p = (theta_1 .. theta_L, w1, w2, w3, b).  The
+    theta columns are the tangents contracted with w, the (w, b) columns
+    are a itself."""
+    c = _readout_chain(model, variables, shape).reshape(4, len(model.layers) + 1, -1)
+    a = c[[1, 2, 3, 0], 0].T
     thetas = np.tensordot(model.readout_w, c[1:, 1:], axes=1).T
-    return np.concatenate([thetas, c[[1, 2, 3, 0], 0].T], axis=1)
+    return a, np.concatenate([thetas, a], axis=1)
 
 
 def _target_tensor(poly: PolynomialSpec, variables, shape) -> np.ndarray:
@@ -403,20 +383,16 @@ def _system_axes(poly: PolynomialSpec):
     return variables, [var_seq.count(v) + 1 for v in variables]
 
 
-def _coefficient_system(model: ReuploadModel, poly: PolynomialSpec, target=None):
+def _coefficient_system(model: ReuploadModel, poly: PolynomialSpec):
     """Readout coefficients of model against those of the target polynomial.
 
     Each scheduled variable's degree runs up to its count in the schedule,
     which covers every monomial the circuit can produce.  Returns
-    (a, target): a has columns r1, r2, r3, 1, so a @ (w, b) are the
-    readout's coefficients, and target is flattened the same way.  A target
-    from an earlier call for the same poly is passed back unchanged.
+    (a, target): a as in _readout_system, target flattened the same way.
     """
     variables, shape = _system_axes(poly)
-    c = _readout_polynomials(model, variables, shape)
-    if target is None:
-        target = _target_tensor(poly, variables, shape).ravel()
-    return c[[1, 2, 3, 0]].reshape(4, -1).T, target
+    a, _ = _readout_system(model, variables, shape)
+    return a, _target_tensor(poly, variables, shape).ravel()
 
 
 def _circuit_residual(model: ReuploadModel, poly: PolynomialSpec) -> float:
@@ -426,28 +402,29 @@ def _circuit_residual(model: ReuploadModel, poly: PolynomialSpec) -> float:
     return float(np.max(np.abs(a @ wb - target)))
 
 
-def _damped_gauss_newton(residual, jacobian, p: np.ndarray, max_iter: int, stop: float):
-    """Drive the sup norm of residual(p) down; returns (p, sup norm).
+def _damped_gauss_newton(system, p: np.ndarray, max_iter: int, stop: float):
+    """Drive the sup norm of the residual down; returns (p, sup norm).
 
-    Each step solves the damped normal equations of jacobian(p), the exact
-    Jacobian of residual at p, and halves the step up to 20 times until the
-    sup norm drops.
+    system(p) returns the residual at p and its exact Jacobian.  Each step
+    solves the damped normal equations of the Jacobian at the current point
+    and halves the step up to 20 times until the sup norm drops; the
+    accepted candidate's Jacobian serves the next step, so no point is
+    evaluated twice.
     Stops below stop, after max_iter steps, or when no halving helps.
     """
-    r = residual(p)
+    r, jac = system(p)
     best = float(np.max(np.abs(r)))
     for _ in range(max_iter):
         if best < stop:
             break
-        jac = jacobian(p)
         step, *_ = np.linalg.lstsq(jac.T @ jac + 1e-6 * np.eye(p.size), -jac.T @ r, rcond=None)
         scale = 1.0
         for _ in range(20):
             cand = p + scale * step
-            cand_r = residual(cand)
+            cand_r, cand_jac = system(cand)
             cand_best = float(np.max(np.abs(cand_r)))
             if cand_best < best:
-                p, r, best = cand, cand_r, cand_best
+                p, r, jac, best = cand, cand_r, cand_jac, cand_best
                 break
             scale /= 2
         else:
@@ -460,30 +437,24 @@ def _fit_gauss_newton(poly: PolynomialSpec, starts) -> CompiledCircuit:
 
     Each start runs until the sup-norm coefficient error drops below 1e-12;
     the search keeps the best run and stops at the first under FIT_TOL.
-    Residuals come from _coefficient_system, the Jacobian from
-    _readout_jacobian.
+    Each point's residual and Jacobian come from one _readout_system.
     """
     couplings = schedule_layers(poly)
     L = len(couplings)
     variables, shape = _system_axes(poly)
+    target = _target_tensor(poly, variables, shape).ravel()
 
     def circuit(p):
         layers = [LayerSpec(float(th), c) for th, c in zip(p[:L], couplings)]
         return ReuploadModel(poly.n_qubits, layers, p[L : L + 3], float(p[L + 3]))
 
-    target = None
-
-    def residual(p):
-        nonlocal target
-        a, target = _coefficient_system(circuit(p), poly, target)
-        return a @ p[L:] - target
-
-    def jacobian(p):
-        return _readout_jacobian(circuit(p), variables, shape)
+    def system(p):
+        a, jac = _readout_system(circuit(p), variables, shape)
+        return a @ p[L:] - target, jac
 
     best_p, best_res = None, np.inf
     for p in starts:
-        p, res = _damped_gauss_newton(residual, jacobian, p, FIT_MAX_ITER, 1e-12)
+        p, res = _damped_gauss_newton(system, p, FIT_MAX_ITER, 1e-12)
         if res < best_res:
             best_p, best_res = p, res
         if best_res < FIT_TOL:
@@ -492,8 +463,9 @@ def _fit_gauss_newton(poly: PolynomialSpec, starts) -> CompiledCircuit:
 
 
 def _fit_univariate(poly: PolynomialSpec) -> CompiledCircuit:
-    """Starts at the small-angle circuit, then at random angles with its readout."""
-    model = compile_univariate_delta(poly, 1e-2).model
+    """Starts at the small-angle circuit of the target's ladder, then at
+    random angles with its readout."""
+    model = compile_univariate_delta(_target_tensor(poly, *_system_axes(poly)), 1e-2).model
     readout = np.concatenate([model.readout_w, [model.readout_b]])
     rng = np.random.default_rng(FIT_SEED)
     starts = [np.concatenate([[l.theta for l in model.layers], readout])]
@@ -555,7 +527,6 @@ def _fit_kick_family(poly: PolynomialSpec) -> CompiledCircuit:
     reaching it exactly.
     """
     cs = [m.coeff for m in poly.monomials]
-    block_vars = [next(iter(m.exps)) for m in poly.monomials]
     scale = max(abs(cs[0]), abs(cs[1]))
     eps = KICK_EPS
     if scale == 0.0:
@@ -605,12 +576,11 @@ def _fit_kick_family(poly: PolynomialSpec) -> CompiledCircuit:
 
 def _fit_general(poly: PolynomialSpec) -> CompiledCircuit:
     """Five random starts over all angles and the readout."""
-    var_seq = _schedule_variables(poly)
-    if int(np.prod([var_seq.count(v) + 1 for v in set(var_seq)])) > 4096:
+    if int(np.prod(_system_axes(poly)[1])) > 4096:
         raise CompileError("target spans too many coefficients to certify")
     rng = np.random.default_rng(FIT_SEED)
-    starts = [np.concatenate([rng.normal(scale=0.4, size=len(var_seq)), rng.normal(scale=0.5, size=3),
-                              [poly.c0]]) for _ in range(5)]
+    starts = [np.concatenate([rng.normal(scale=0.4, size=poly.schedule_length),
+                              rng.normal(scale=0.5, size=3), [poly.c0]]) for _ in range(5)]
     return _fit_gauss_newton(poly, starts)
 
 

@@ -320,10 +320,15 @@ def json_int(value, field: str, low: int = 1) -> int:
 
 
 def json_number(value, field: str) -> float:
-    """value as a float, if it is a JSON number (not a bool)."""
+    """value as a float, if it is a JSON number (not a bool) that a float
+    can hold."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{field} must be a JSON number, got {json.dumps(value)}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        raise ValueError(f"{field} must fit a float, got an integer of "
+                         f"{value.bit_length()} bits") from None
 
 
 def json_object(value, field: str) -> dict:
@@ -413,8 +418,9 @@ def _checked_stack(path, buf: np.ndarray, line_nos: list) -> np.ndarray:
 def read_dataset(path) -> list:
     """Read a JSONL dataset, checking the states of the file as one stack.
 
-    Each line is parsed on its own and must be a JSON object (the record),
-    whose fields are checked by type: n must be
+    Each line (ended by a newline) is decoded as UTF-8 and parsed on its
+    own, and must be a JSON object (the record), whose fields are checked
+    by type: n must be
     a positive JSON integer, label a finite JSON number (not a bool), matrix
     2**n rows of 2**n [re, im] pairs of JSON numbers, with the first
     record's n.  meta must be a JSON object whose META_KEYS are finite JSON
@@ -427,12 +433,12 @@ def read_dataset(path) -> list:
     labels, metas, line_nos = [], [], []
     first = None  # the first record's n and histogram keys
     buf = np.empty((0, 1, 1, 2))  # re/im parts of the matrices read so far, then spare rows
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
+                line = line.decode().strip()  # UTF-8, so a bad byte names its line
+                if not line:
+                    continue
                 rec = json_object(json.loads(line), "record")
                 n = json_int(rec["n"], "n")
                 label = json_number(rec["label"], "label")

@@ -328,6 +328,22 @@ def test_model_json_rejects_mistyped_fields_by_name():
             model_from_json(json.dumps(rec))
 
 
+@pytest.mark.parametrize("field, edit", [
+    ("theta", lambda rec: rec["layers"][0].update(theta=10**400)),
+    ("w", lambda rec: rec["w"].__setitem__(1, 10**400)),
+    ("b", lambda rec: rec.update(b=10**400)),
+    ("coeffs", lambda rec: rec["layers"][0].update(
+        coupling={"variant": "General", "n_qubits": 2, "coeffs": [10**400] + [0.0] * 14})),
+], ids=["theta", "w", "b", "coeffs"])
+def test_model_json_names_an_integer_too_large_for_a_float(field, edit):
+    rec = json.loads(model_to_json(ReuploadModel(1, [LayerSpec(0.1, CouplingSpec.cu_ij(1, 2))],
+                                                 np.zeros(3), 0.0)))
+    edit(rec)
+    with pytest.raises(ValueError, match=rf"^{field} must fit a float, got an integer of "
+                                         rf"{(10**400).bit_length()} bits$"):
+        model_from_json(json.dumps(rec))
+
+
 # one field of a valid model record removed or replaced by another JSON shape
 MALFORMED_MODELS = [
     (r"b: missing", lambda rec: rec.pop("b")),

@@ -119,6 +119,20 @@ class TestTrain:
         assert code == 2
         assert f"{path}: line 3: label must be finite" in capsys.readouterr().err
 
+    def test_integer_too_large_for_a_float_is_usage_error(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(["gen-dataset", "--task", "band", "--train-size", 3,
+             "--test-size", 2, "--seed", 0, "--out", ds])
+        path = ds / "train.jsonl"
+        lines = path.read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), "label": 10**400})
+        path.write_text("\n".join(lines) + "\n")
+        code = run(["train", "--dataset", ds, "--layers", 1, "--epochs", 1,
+                    "--out", tmp_path / "out"])
+        assert code == 2
+        assert f"{path}: line 3: label must fit a float" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("meta, message", [
         ({}, "meta has histogram keys [], the first record has ['r3']"),
         ({"r3": float("nan")}, "meta r3 must be finite"),

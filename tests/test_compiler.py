@@ -11,7 +11,8 @@ from reupsim.compiler import (
     PolynomialSpec,
     _circuit_residual,
     _coefficient_system,
-    _readout_jacobian,
+    _damped_gauss_newton,
+    _readout_system,
     _system_axes,
     compile_univariate_delta,
     extract_coefficients,
@@ -298,10 +299,37 @@ class TestReadoutJacobian:
 
         for _ in range(3):
             p = rng.normal(size=L + 4)
-            jac = _readout_jacobian(model(p), variables, shape)
+            jac = _readout_system(model(p), variables, shape)[1]
             want = fd_jacobian(readout_coeffs, p, 1e-5)
             assert jac.shape == want.shape
             np.testing.assert_allclose(jac, want, rtol=0, atol=1e-7 * np.max(np.abs(want)))
+
+
+def _linear_system(p):
+    jac = np.array([[2.0, 1.0], [1.0, 3.0], [0.5, -1.0]])
+    return jac @ (p - np.array([0.3, -0.7])), jac
+
+
+def _nonlinear_system(p):
+    r = np.array([p[0] ** 2 - 2.0, p[0] * p[1] - 1.0])
+    return r, np.array([[2.0 * p[0], 0.0], [p[1], p[0]]])
+
+
+class TestDampedGaussNewton:
+    @pytest.mark.parametrize("system", [_linear_system, _nonlinear_system],
+                             ids=["linear", "nonlinear"])
+    def test_each_point_is_evaluated_once(self, system):
+        seen = []
+
+        def counting(p):
+            seen.append(p.tobytes())
+            return system(p)
+
+        p, res = _damped_gauss_newton(counting, np.array([1.0, 1.0]), 100, 1e-12)
+        assert res < 1e-12
+        assert res == np.max(np.abs(system(p)[0]))
+        assert len(seen) > 1
+        assert len(seen) == len(set(seen))
 
 
 # the benchmark's target for each fit_coefficients route

@@ -26,7 +26,7 @@ from reupsim.channel import (
     model_to_json,
     run_model,
 )
-from reupsim.compiler import _readout_polynomials
+from reupsim.compiler import _readout_chain
 from reupsim.linalg import HermitianGenerator, partial_trace, pauli_word_basis, swap_permutation
 from reupsim.states import (
     DensityMatrix,
@@ -123,7 +123,7 @@ def test_readout_polynomials_equal_affine_chain(model, data):
     n = model.n_qubits
     variables = data.draw(st.lists(st.integers(1, 4**n - 1), min_size=1, max_size=2, unique=True))
     # every layer raises each variable's degree by at most one: nothing is truncated
-    c = _readout_polynomials(model, variables, [len(model.layers) + 1] * len(variables))
+    c = _readout_chain(model, variables, [len(model.layers) + 1] * len(variables))[:, 0]
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     lam_ext = np.zeros((5, 4**n))
     lam_ext[:, 0] = 1.0

@@ -224,6 +224,33 @@ def test_read_dataset_names_a_line_that_is_not_an_object(tmp_path):
         read_dataset(path)
 
 
+# a JSON integer past the float range
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("label", lambda rec: rec.update(label=HUGE)),
+    ("meta r3", lambda rec: rec.update(meta={"r3": HUGE})),
+], ids=["label", "meta"])
+def test_read_dataset_names_an_integer_too_large_for_a_float(tmp_path, field, edit):
+    path = tmp_path / "huge.jsonl"
+    bad = json.loads(GOOD_RECORD)
+    edit(bad)
+    path.write_text(GOOD_RECORD + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(ValueError, match=rf"huge\.jsonl: line 2: {field} must fit a float, "
+                                         rf"got an integer of {HUGE.bit_length()} bits$"):
+        read_dataset(path)
+
+
+def test_read_dataset_names_a_line_that_is_not_utf8(tmp_path):
+    # past the first 8 KB, where a decoder reading ahead in chunks would stop
+    path = tmp_path / "bytes.jsonl"
+    path.write_bytes((GOOD_RECORD + "\n").encode() * 120 + b'{"n": 1, "label": "\xff"}\n')
+    with pytest.raises(ValueError, match=r"bytes\.jsonl: line 121: 'utf-8' codec can't decode "
+                                         r"byte 0xff"):
+        read_dataset(path)
+
+
 def test_read_dataset_rejects_mixed_qubit_counts(tmp_path):
     path = tmp_path / "mixed.jsonl"
     path.write_text(GOOD_RECORD + "\n" + GOOD_RECORD + "\n" + _two_qubit_record() + "\n")
