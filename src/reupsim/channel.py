@@ -5,12 +5,15 @@ of an n-qubit input state and traces the copy out.  The signal qubit is
 always the first tensor factor.  Each layer is a CPTP collision map on the
 signal and affine on its Bloch vector; `layer_transfer_tensor` is its Pauli
 transfer over the Pauli coefficients of the input, and `layer_affine_map` its
-value at one input.  A restricted coupling is one Pauli pair (i, alpha), and
-its transfer is the evolution formula (sigma_i kept, the other two signal
-Paulis scaled by lam_alpha) built with no unitary; only General couplings
-evolve the signal Paulis back through exp(iH).
+value at one input, the plain pair (m, d) of r -> m r + d.  A restricted
+coupling is one Pauli pair (i, alpha), and its transfer is the evolution
+formula (sigma_i kept, the other two signal Paulis scaled by lam_alpha)
+built with no unitary; only General couplings evolve the signal Paulis back
+through exp(iH).
 `affine_chain` pushes a batch of inputs through a chain of transfer tensors;
 it is the one batched kernel behind training and compilation.
+`hadamard_test` gives the exact ancilla value of the interference circuit;
+shot sampling belongs to training alone (`sample_shots`).
 """
 
 from __future__ import annotations
@@ -155,23 +158,6 @@ class ReuploadModel:
                 raise ValueError("layer angles must be finite")
 
 
-@dataclass
-class AffineBlochMap:
-    """Affine action r -> m @ r + d of a layer on the signal Bloch vector."""
-
-    m: np.ndarray
-    d: np.ndarray
-
-    def __post_init__(self):
-        self.m = np.asarray(self.m, dtype=float)
-        self.d = np.asarray(self.d, dtype=float)
-        if self.m.shape != (3, 3) or self.d.shape != (3,):
-            raise ValueError("affine map needs a 3x3 matrix and a 3-vector")
-
-    def apply(self, r) -> np.ndarray:
-        return self.m @ np.asarray(r, dtype=float) + self.d
-
-
 def build_coupling(coupling: CouplingSpec, n_qubits: int) -> np.ndarray:
     """Dense coupling unitary on signal (x) environment, signal first."""
     if coupling.n_env != n_qubits:
@@ -184,12 +170,6 @@ def build_coupling(coupling: CouplingSpec, n_qubits: int) -> np.ndarray:
     return kron(PAULIS[0], (eye + w) / 2) + kron(PAULIS[i], (eye - w) / 2)
 
 
-def _rz(theta: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-0.5j * theta), 0.0], [0.0, np.exp(0.5j * theta)]], dtype=complex
-    )
-
-
 def rz_bloch(theta: float) -> np.ndarray:
     """Bloch rotation of the signal z-rotation: x -> (cos, sin, 0)."""
     c, s = np.cos(theta), np.sin(theta)
@@ -199,7 +179,8 @@ def rz_bloch(theta: float) -> np.ndarray:
 def layer_unitary(layer: LayerSpec, n_qubits: int) -> np.ndarray:
     """Full layer unitary: coupling after the signal z-rotation."""
     c = build_coupling(layer.coupling, n_qubits)
-    return c @ kron(_rz(layer.theta), np.eye(2**n_qubits))
+    rz = np.diag(np.exp([-0.5j * layer.theta, 0.5j * layer.theta]))
+    return c @ kron(rz, np.eye(2**n_qubits))
 
 
 def apply_layer(tau: DensityMatrix, rho: DensityMatrix, layer: LayerSpec) -> DensityMatrix:
@@ -271,12 +252,13 @@ def affine_chain(tensors, lam_ext: np.ndarray, r0: np.ndarray):
     return maps, states
 
 
-def layer_affine_map(layer: LayerSpec, rho: DensityMatrix) -> AffineBlochMap:
-    """Exact affine Bloch action of a layer for a fixed uploaded state."""
+def layer_affine_map(layer: LayerSpec, rho: DensityMatrix):
+    """Exact affine Bloch action r -> m @ r + d of a layer for a fixed
+    uploaded state, as the pair (m, d) that affine_chain applies."""
     t = layer_transfer_tensor(layer, rho.n_qubits)
     lam_ext = np.concatenate(([1.0], pauli_coeffs(rho).lam))
     v = np.einsum("ija,a->ij", t, lam_ext)
-    return AffineBlochMap(v[:, 1:], v[:, 0])
+    return v[:, 1:], v[:, 0]
 
 
 def run_model(model: ReuploadModel, rho: DensityMatrix):
@@ -297,8 +279,6 @@ def run_model(model: ReuploadModel, rho: DensityMatrix):
 def sample_shots(expect, shots: int, rng):
     """Shot estimate of +/-1-valued observables with expectations expect,
     each averaged over shots single-shot outcomes."""
-    if rng is None:
-        raise ValueError("shot sampling needs an rng")
     p = np.clip((1.0 + expect) / 2.0, 0.0, 1.0)
     return 2.0 * rng.binomial(shots, p) / shots - 1.0
 
@@ -318,25 +298,19 @@ def hadamard_test(rho: DensityMatrix, u: np.ndarray, imag: bool = False) -> floa
     return hadamard_test_unchecked(rho.matrix, u, imag)
 
 
-def hadamard_test_unchecked(rho: np.ndarray, u: np.ndarray, imag: bool = False,
-                            shots: int = 0, rng=None) -> float:
+def hadamard_test_unchecked(rho: np.ndarray, u: np.ndarray, imag: bool = False) -> float:
     """hadamard_test on a d x d density matrix and a d x d unitary that the
     caller has already validated."""
     d = rho.shape[0]
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     eye = np.eye(d)
-    cu = np.zeros((2 * d, 2 * d), dtype=complex)
-    cu[:d, :d] = eye
-    cu[d:, d:] = u
+    cu = np.block([[eye, np.zeros((d, d))], [np.zeros((d, d)), u]])
     phase = kron(np.diag([1.0, -1j]), eye) if imag else np.eye(2 * d)
     full = kron(h, eye) @ phase @ cu @ kron(h, eye)
     joint = np.zeros((2 * d, 2 * d), dtype=complex)
     joint[:d, :d] = rho
     out = full @ joint @ full.conj().T
-    val = float(np.trace(kron(PAULIS[3], eye) @ out).real)
-    if shots:
-        val = float(sample_shots(val, shots, rng))
-    return val
+    return float(np.trace(kron(PAULIS[3], eye) @ out).real)
 
 
 # ---------------------------------------------------------------------------

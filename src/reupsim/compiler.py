@@ -49,6 +49,10 @@ FIT_TOL = 1e-6
 FIT_SEED = 0
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass
 class MonomialSpec:
     """One monomial: coeff * prod_alpha lam_alpha ** exps[alpha]."""
@@ -58,12 +62,15 @@ class MonomialSpec:
 
     def __post_init__(self):
         self.coeff = float(self.coeff)
-        exps = {int(a): int(e) for a, e in self.exps.items()}
-        if not exps:
-            raise ValueError("monomial needs at least one variable")
-        if any(a < 1 for a in exps) or any(e < 1 for e in exps.values()):
+        if not np.isfinite(self.coeff):
+            raise ValueError(f"coeff must be finite, got {self.coeff}")
+        if not isinstance(self.exps, dict) or not self.exps:
+            raise ValueError(f"exps: a monomial needs a dict of at least one variable, got {self.exps!r}")
+        if not all(map(_is_int, [*self.exps, *self.exps.values()])):
+            raise ValueError(f"exps: variables and exponents must be ints, got {self.exps!r}")
+        self.exps = {int(a): int(e) for a, e in self.exps.items()}
+        if any(a < 1 for a in self.exps) or any(e < 1 for e in self.exps.values()):
             raise ValueError("variables are indexed from 1 and exponents from 1")
-        self.exps = exps
 
     @property
     def degree(self) -> int:
@@ -85,9 +92,15 @@ class PolynomialSpec:
     monomials: list
 
     def __post_init__(self):
+        if not _is_int(self.n_qubits) or self.n_qubits < 1:
+            raise ValueError(f"n_qubits must be an int of at least 1, got {self.n_qubits!r}")
         self.c0 = float(self.c0)
+        if not np.isfinite(self.c0):
+            raise ValueError(f"c0 must be finite, got {self.c0}")
         top = 4**self.n_qubits - 1
         for m in self.monomials:
+            if not isinstance(m, MonomialSpec):
+                raise ValueError(f"monomials: expected MonomialSpec entries, got {m!r}")
             if max(m.exps) > top:
                 raise ValueError(f"variable {max(m.exps)} out of range for {self.n_qubits} qubits")
 
@@ -168,6 +181,12 @@ def _univariate_coeffs(model: ReuploadModel) -> np.ndarray:
     return model.readout_w @ c[1:] + model.readout_b * c[0]
 
 
+def _small_angle_start(v: np.ndarray, delta: float):
+    """Angles theta_l = v[L+1-l] * delta, l = 1..L, readout w = (0, 1/delta,
+    0) and b = v[0] of the small-angle circuit of the ladder v (degree 0..L)."""
+    return v[:0:-1] * delta, np.array([0.0, 1.0 / delta, 0.0]), v[0]
+
+
 def compile_univariate_delta(target, delta: float) -> CompiledCircuit:
     """Small-angle compilation of a coefficient ladder v (degree 0..L) on L
     CNOT layers, error O(delta^2).
@@ -185,8 +204,8 @@ def compile_univariate_delta(target, delta: float) -> CompiledCircuit:
     if L == 0:
         model = ReuploadModel(1, [LayerSpec(0.0, CouplingSpec.cnot())], np.zeros(3), v[0])
         return CompiledCircuit(model, [], delta=delta, residual=0.0)
-    layers = [LayerSpec(v[L + 1 - l] * delta, CouplingSpec.cnot()) for l in range(1, L + 1)]
-    model = ReuploadModel(1, layers, np.array([0.0, 1.0 / delta, 0.0]), v[0])
+    thetas, w, b = _small_angle_start(v, delta)
+    model = ReuploadModel(1, [LayerSpec(th, CouplingSpec.cnot()) for th in thetas], w, b)
     realized = _univariate_coeffs(model)
     return CompiledCircuit(
         model, list(range(1, L + 1)), delta=delta, residual=float(np.max(np.abs(realized - v)))
@@ -233,6 +252,8 @@ def extract_coefficients(circuit, basis: PolynomialSpec = None) -> np.ndarray:
     model = circuit.model if isinstance(circuit, CompiledCircuit) else circuit
     if basis is None:
         return _extract_univariate(model)
+    if basis.n_qubits != model.n_qubits:
+        raise ValueError(f"basis is over {basis.n_qubits} qubits, the circuit over {model.n_qubits}")
     monomials = basis.monomials
     probes = [dict()]
     seen = {}
@@ -465,11 +486,11 @@ def _fit_gauss_newton(poly: PolynomialSpec, starts) -> CompiledCircuit:
 def _fit_univariate(poly: PolynomialSpec) -> CompiledCircuit:
     """Starts at the small-angle circuit of the target's ladder, then at
     random angles with its readout."""
-    model = compile_univariate_delta(_target_tensor(poly, *_system_axes(poly)), 1e-2).model
-    readout = np.concatenate([model.readout_w, [model.readout_b]])
+    thetas, w, b = _small_angle_start(_target_tensor(poly, *_system_axes(poly)), 1e-2)
+    readout = np.concatenate([w, [b]])
     rng = np.random.default_rng(FIT_SEED)
-    starts = [np.concatenate([[l.theta for l in model.layers], readout])]
-    starts += [np.concatenate([rng.normal(scale=0.3, size=len(model.layers)), readout])
+    starts = [np.concatenate([thetas, readout])]
+    starts += [np.concatenate([rng.normal(scale=0.3, size=thetas.size), readout])
                for _ in range(4)]
     return _fit_gauss_newton(poly, starts)
 

@@ -7,14 +7,14 @@ single-qubit observable cannot compute purity (every reachable effective
 observable has a singular 3x3 correlation matrix, while any purity
 observable has determinant >= 1).
 
-The certificate algebra runs on stacks of trials along a leading axis; the
-single-instance functions are stacks of one.  A check that fails on a
-stack raises and names the trial.
+Each certificate function takes one instance or a stack of trials along a
+leading axis, and returns plain arrays of the matching shape.  A check that
+fails raises and names the trial: a single instance is trial 0, and the
+trials of a stack are numbered from its `first` argument.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -50,38 +50,12 @@ _SAME_INDEX_PAIRS = _WORDS[5::5]  # sigma_a (x) sigma_a, a = 1..3
 _SIGMA = pauli_word_basis(1)[1:]
 
 
-@dataclass
-class CorrMatrix:
-    """Pauli-pair correlation profile of a two-qubit operator."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=float)
-        if self.entries.shape != (3, 3):
-            raise ValueError("corr matrix must be 3x3")
-
-    @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.entries))
-
-
-@dataclass
-class PurityObservableParams:
-    """Free coefficients c1..c6 of the purity observable family."""
-
-    c: np.ndarray
-
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        if self.c.shape != (6,):
-            raise ValueError("expected six coefficients")
-
-
-def _require(holds, stack: np.ndarray, exc, message: str, first: int) -> None:
-    """Raise exc(message) naming the first trial of stack that fails holds;
-    the stack's trials are numbered from first."""
-    if not holds(stack):
+def _require(holds, x: np.ndarray, item_ndim: int, exc, message: str, first: int) -> None:
+    """Raise exc(message) naming the first trial of x that fails holds.  x is
+    one trial of item_ndim axes or a stack of them along a leading axis; the
+    trials are numbered from first."""
+    if not holds(x):
+        stack = x if x.ndim > item_ndim else x[None]
         k = next(k for k, item in enumerate(stack) if not holds(item))
         raise exc(f"trial {first + k}: {message}")
 
@@ -90,39 +64,32 @@ def _within(atol: float):
     return lambda x: bool(np.max(np.abs(x)) <= atol)
 
 
-def _stack_of_one(m, shape: tuple, name: str) -> np.ndarray:
+def _matrices(m, shape: tuple, name: str) -> np.ndarray:
+    """m as a complex array of one shape matrix or a (..., *shape) stack."""
     m = np.asarray(m, dtype=complex)
-    if m.shape != shape:
-        raise ValueError(f"{name} must be {shape[0]}x{shape[1]}, got {m.shape}")
-    return m[None]
+    if m.shape[-2:] != shape:
+        raise ValueError(f"{name} must be {shape[0]}x{shape[1]} or a stack of them, got {m.shape}")
+    return m
 
 
-def _corr(m: np.ndarray, first: int = 0) -> np.ndarray:
-    """Real corr entries (T, ..., 3, 3) of a (T, ..., 4, 4) stack."""
+def corr(m, first: int = 0) -> np.ndarray:
+    """corr(M)_ij = tr(M (sigma_i x sigma_j)) / 2 of a 4x4 Hermitian M, or
+    of each matrix of a (T, ..., 4, 4) stack: real (..., 3, 3)."""
+    m = _matrices(m, (4, 4), "corr input")
     out = 0.5 * np.einsum("...ab,ijba->...ij", m, _PAULI_PAIRS)
-    _require(_within(CORR_IMAG_ATOL), out.imag, ValueError,
+    _require(_within(CORR_IMAG_ATOL), out.imag, 2, ValueError,
              "corr entries are not real; input is not Hermitian", first)
     return out.real
 
 
-def corr(m: np.ndarray) -> CorrMatrix:
-    """corr(M)_ij = tr(M (sigma_i x sigma_j)) / 2, for 4x4 Hermitian M."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"corr needs a 4x4 matrix, got {m.shape}")
-    return CorrMatrix(_corr(m[None])[0])
-
-
-def swap_test_purity(rho: DensityMatrix, shots: int = 0, seed: int = 0) -> float:
+def swap_test_purity(rho: DensityMatrix) -> float:
     """Ancilla Z expectation of the swap test on two copies of rho.
 
     The circuit H - controlled-SWAP - H leaves <Z> on the ancilla equal to
-    tr(rho^2); shots > 0 replaces the exact value with a binomial estimate.
-    rho is already validated, so its two copies and the swap are not checked
-    again.
+    tr(rho^2).  rho is already validated, so its two copies and the swap are
+    not checked again.
     """
-    return hadamard_test_unchecked(kron(rho.matrix, rho.matrix), swap_permutation(rho.dim),
-                                   shots=shots, rng=np.random.default_rng(seed))
+    return hadamard_test_unchecked(kron(rho.matrix, rho.matrix), swap_permutation(rho.dim))
 
 
 def _o_x_i_sandwich(x: np.ndarray, o: np.ndarray) -> np.ndarray:
@@ -131,75 +98,61 @@ def _o_x_i_sandwich(x: np.ndarray, o: np.ndarray) -> np.ndarray:
     return np.einsum("...abm,...ac,...cbn->...mn", x.conj(), o, x)
 
 
-def _observation1(u: np.ndarray, v: np.ndarray, o: np.ndarray, first: int = 0):
-    """Correlation matrices (T, 3, 3) of the two-upload effective observable
-    and their dets (T,), for stacks u, v (T, 4, 4) and o (T, 2, 2)."""
-    _require(is_unitary, u, ValueError, "u is not unitary", first)
-    _require(is_unitary, v, ValueError, "v is not unitary", first)
-    _require(lambda m: is_hermitian(m, 1e-10), o, ValueError, "o must be Hermitian", first)
-
-    # kraus[t, k] = <k|_copy u |0>_copy, acting on the uploaded state
-    kraus = u.reshape(-1, 2, 2, 2, 2)[:, :, :, 0, :].swapaxes(1, 2)
-    completeness = np.einsum("tkab,tkac->tbc", kraus.conj(), kraus)
-    _require(_within(KRAUS_ATOL), completeness - np.eye(2), RuntimeError,
-             "Kraus operators of the first upload do not resolve the identity", first)
-
-    # J_k = v (K_k x I); the effective observable is sum_k J_k^dag (o x I) J_k
-    j = np.einsum("tmad,tkac->tkmcd", v.reshape(-1, 4, 2, 2), kraus).reshape(-1, 2, 4, 4)
-    t = _corr(_o_x_i_sandwich(j, o[:, None]).sum(axis=1), first)
-
-    # independent decomposition: t must factor through the first upload's
-    # Pauli transfer and the conjugated observable
-    c = _corr(_o_x_i_sandwich(v, o), first)
-    lam_sig = np.einsum("tkab,mbc,tkdc->tmad", kraus, _SIGMA, kraus.conj())
-    ctilde = 0.5 * np.einsum("mab,tiba->tmi", _SIGMA, lam_sig).real
-    _require(_within(DECOMP_ATOL), t - ctilde.swapaxes(-1, -2) @ c, RuntimeError,
-             "correlation decomposition check failed", first)
-    return t, np.linalg.det(t)
-
-
-def observation1_certificate(u: np.ndarray, v: np.ndarray, o: np.ndarray):
+def observation1_certificate(u, v, o, first: int = 0):
     """Correlation matrix of the two-upload effective observable, and its det.
 
     The first upload through u is resolved into Kraus operators K_k acting
     on the uploaded state; the second upload through v then measures o on
     the signal.  The effective two-copy observable sum_k J_k^dag (o x I) J_k
     always has a singular correlation matrix, which is the obstruction to
-    computing purity this way.  Returns (CorrMatrix, det).
+    computing purity this way.  u, v are 4x4 and o 2x2, or (T, 4, 4) and
+    (T, 2, 2) stacks; returns corr (..., 3, 3) and det (...).
     """
-    t, det = _observation1(_stack_of_one(u, (4, 4), "u"), _stack_of_one(v, (4, 4), "v"),
-                           _stack_of_one(o, (2, 2), "o"))
-    return CorrMatrix(t[0]), float(det[0])
+    u, v, o = _matrices(u, (4, 4), "u"), _matrices(v, (4, 4), "v"), _matrices(o, (2, 2), "o")
+    _require(is_unitary, u, 2, ValueError, "u is not unitary", first)
+    _require(is_unitary, v, 2, ValueError, "v is not unitary", first)
+    _require(lambda m: is_hermitian(m, 1e-10), o, 2, ValueError, "o must be Hermitian", first)
+
+    # kraus[..., k] = <k|_copy u |0>_copy, acting on the uploaded state
+    kraus = u.reshape(*u.shape[:-2], 2, 2, 2, 2)[..., 0, :].swapaxes(-3, -2)
+    completeness = np.einsum("...kab,...kac->...bc", kraus.conj(), kraus)
+    _require(_within(KRAUS_ATOL), completeness - np.eye(2), 2, RuntimeError,
+             "Kraus operators of the first upload do not resolve the identity", first)
+
+    # J_k = v (K_k x I); the effective observable is sum_k J_k^dag (o x I) J_k
+    j = np.einsum("...mad,...kac->...kmcd", v.reshape(*v.shape[:-2], 4, 2, 2), kraus)
+    j = j.reshape(*j.shape[:-4], 2, 4, 4)
+    t = corr(_o_x_i_sandwich(j, o[..., None, :, :]).sum(axis=-3), first)
+
+    # independent decomposition: t must factor through the first upload's
+    # Pauli transfer and the conjugated observable
+    c = corr(_o_x_i_sandwich(v, o), first)
+    lam_sig = np.einsum("...kab,mbc,...kdc->...mad", kraus, _SIGMA, kraus.conj())
+    ctilde = 0.5 * np.einsum("mab,...iba->...mi", _SIGMA, lam_sig).real
+    _require(_within(DECOMP_ATOL), t - ctilde.swapaxes(-1, -2) @ c, 2, RuntimeError,
+             "correlation decomposition check failed", first)
+    return t, np.linalg.det(t)
 
 
-def _unit(a: int, b: int) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    m[a - 1, b - 1] = 1.0
-    return m
-
-
-# purity_observable is the swap plus sum_j c_j _PURITY_DIRECTIONS[j]
-_PURITY_DIRECTIONS = np.array([
-    1j * (_unit(2, 3) - _unit(3, 2)),
-    _unit(2, 2) - _unit(3, 3),
-    (_unit(1, 2) - _unit(1, 3)) + (_unit(2, 1) - _unit(3, 1)),
-    1j * (_unit(1, 2) - _unit(1, 3)) - 1j * (_unit(2, 1) - _unit(3, 1)),
-    (_unit(2, 4) - _unit(3, 4)) + (_unit(4, 2) - _unit(4, 3)),
-    1j * (_unit(2, 4) - _unit(3, 4)) - 1j * (_unit(4, 2) - _unit(4, 3)),
-])
+# purity_observable is the swap plus sum_j c_j _PURITY_DIRECTIONS[j]; each
+# direction is x + x^dag, with s = |01> - |10> the antisymmetric two-copy state
+_E = np.eye(4)
+_S = _E[1] - _E[2]
+_PURITY_DIRECTIONS = np.array([x + x.conj().T for x in (
+    1j * np.outer(_E[1], _E[2]), np.diag(_S) / 2, np.outer(_E[0], _S),
+    1j * np.outer(_E[0], _S), np.outer(_S, _E[3]), 1j * np.outer(_S, _E[3]),
+)])
 
 
 def purity_observable(params) -> np.ndarray:
-    """The general two-copy observable with tr((rho x rho) O) = tr(rho^2).
+    """The general two-copy observable with tr((rho x rho) O) = tr(rho^2),
+    from its free coefficients c1..c6.
 
     A (T, 6) array of coefficients gives a (T, 4, 4) stack.
     """
-    if isinstance(params, PurityObservableParams):
-        c = params.c
-    else:
-        c = np.asarray(params, dtype=float)
-        if c.shape[-1:] != (6,):
-            raise ValueError("expected six coefficients")
+    c = np.asarray(params, dtype=float)
+    if c.shape[-1:] != (6,):
+        raise ValueError("expected six coefficients")
     return swap_permutation(2) + np.einsum("...j,jab->...ab", c, _PURITY_DIRECTIONS)
 
 
@@ -215,45 +168,37 @@ def _purity_probes():
     return two_copy, purities
 
 
-def _purity_observable_dets(o: np.ndarray, first: int = 0) -> np.ndarray:
-    """det(corr(O)) for a (T, 4, 4) stack of purity observables, after
-    re-deriving tr((rho x rho) O) = tr(rho^2) on the probe states."""
-    two_copy, purities = _purity_probes()
-    got = np.einsum("pab,tba->tp", two_copy, o).real
-    _require(_within(1e-10), got - purities, RuntimeError,
-             "observable family does not evaluate purity", first)
-    return np.linalg.det(_corr(o, first))
-
-
-def purity_observable_det(params: PurityObservableParams) -> float:
-    """det(corr(O)) for the purity observable family; always >= 1.
+def purity_observable_det(params, first: int = 0) -> np.ndarray:
+    """det(corr(O)) of the purity observable with coefficients params (6,),
+    or of each row of a (T, 6) stack; always >= 1.
 
     Also re-derives tr((rho x rho) O) = tr(rho^2) on 50 fixed sampled states
     as a guard against construction mistakes.
     """
-    return float(_purity_observable_dets(purity_observable(params)[None])[0])
+    o = purity_observable(params)
+    two_copy, purities = _purity_probes()
+    got = np.einsum("pab,...ba->...p", two_copy, o).real
+    _require(_within(1e-10), got - purities, 1, RuntimeError,
+             "observable family does not evaluate purity", first)
+    return np.linalg.det(corr(o, first))
 
 
-def _ksigma_corrs(k: np.ndarray, first: int = 0) -> np.ndarray:
-    """corr of sigma_i x I conjugated by exp(i k . Sigma), for i = 1..3 and a
-    (T, 3) stack of k: (T, 3, 3, 3), one exp(i k . Sigma) per trial."""
-    w = exp_i_hermitian(np.einsum("ta,aij->tij", k, _SAME_INDEX_PAIRS))
-    return _corr(np.einsum("tba,ibc,tcd->tiad", w.conj(), _SIGNAL_PAULIS, w), first)
+def ksigma_corr(k, first: int = 0) -> np.ndarray:
+    """corr of sigma_i x I conjugated by exp(i k . Sigma), for i = 1..3 at
+    index i - 1: (3, 3, 3) for a real 3-vector k, (T, 3, 3, 3) for a (T, 3)
+    stack, one exp(i k . Sigma) per trial.
 
-
-def ksigma_corr(k, i: int) -> CorrMatrix:
-    """corr of sigma_i x I conjugated by exp(i k . Sigma).
-
-    Sigma stacks the three same-index Pauli pairs; the result is always a
-    rank <= 2 rotation-like profile, hence singular, and so is any real
-    linear combination over i.
+    Sigma stacks the three same-index Pauli pairs; each profile is always a
+    rank <= 2 rotation-like matrix, hence singular, and so is any real
+    linear combination of the three.
     """
-    if i not in (1, 2, 3):
-        raise ValueError("i must be 1, 2 or 3")
     k = np.asarray(k, dtype=float)
-    if k.shape != (3,):
-        raise ValueError("k must be a real 3-vector")
-    return CorrMatrix(_ksigma_corrs(k[None])[0, i - 1])
+    if k.shape[-1:] != (3,):
+        raise ValueError(f"k must be a real 3-vector or a stack of them, got {k.shape}")
+    w = exp_i_hermitian(np.einsum("...a,aij->...ij", k, _SAME_INDEX_PAIRS))
+    profiles = np.einsum("...ba,ibc,...cd->...iad", w.conj(), _SIGNAL_PAULIS, w)
+    # a single k's three profiles are one trial, not a stack of three
+    return corr(profiles, first) if k.ndim > 1 else corr(profiles[None], first)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +242,9 @@ def evolution_formula_check(trials: int = 200, seed: int = 0) -> dict:
         theta = float(rng.uniform(-np.pi, np.pi))
         rho = _random_density(n, rng)
         tau = sample_bloch_ball(rng)
-        word = PauliWord.from_index(alpha, n)
-        layer = LayerSpec(theta, CouplingSpec.cu_alpha(word))
+        layer = LayerSpec(theta, CouplingSpec.cu_alpha(PauliWord.from_index(alpha, n)))
         out = bloch_vector(apply_layer(tau, rho, layer))
-        lam = float(np.trace(rho.matrix @ pauli_word_basis(n)[word.index]).real)
+        lam = float(np.trace(rho.matrix @ pauli_word_basis(n)[alpha]).real)
         tilted = rz_bloch(theta) @ bloch_vector(tau)
         want = np.array([tilted[0], lam * tilted[1], lam * tilted[2]])
         violations.append(np.max(np.abs(out - want)))
@@ -324,7 +268,7 @@ def observation1_check(trials: int = 1000, seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
 
     def violations(n, first):
-        return np.abs(_observation1(*_observation1_draws(rng, n), first)[1])
+        return np.abs(observation1_certificate(*_observation1_draws(rng, n), first)[1])
 
     return _report("observation1", _blockwise(violations, trials))
 
@@ -335,7 +279,7 @@ def purity_observable_check(trials: int = 200, seed: int = 0) -> dict:
 
     def violations(n, first):
         c = rng.uniform(-2.0, 2.0, size=(n, 6))
-        det = _purity_observable_dets(purity_observable(c), first)
+        det = purity_observable_det(c, first)
         closed = 1.0 + c[:, 0] ** 2 + (c[:, 2] + c[:, 4]) ** 2 + (c[:, 3] + c[:, 5]) ** 2
         gap = np.abs(det - closed)
         return np.where(det < 1.0 - 1e-10, np.maximum(gap, 1.0 - det), gap)
@@ -359,7 +303,7 @@ def ksigma_check(trials: int = 200, seed: int = 0) -> dict:
 
     def violations(n, first):
         x = _ksigma_draws(rng, n)
-        combo = np.einsum("ti,tijk->tjk", x[:, 3:], _ksigma_corrs(x[:, :3], first))
+        combo = np.einsum("ti,tijk->tjk", x[:, 3:], ksigma_corr(x[:, :3], first))
         return np.abs(np.linalg.det(combo))
 
     return _report("ksigma", _blockwise(violations, trials))

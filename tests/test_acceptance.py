@@ -109,7 +109,8 @@ def test_criterion_02_affine_equivalence():
         rho = _random_density(n, rng)
         tau = sample_bloch_ball(rng)
         direct = bloch_vector(apply_layer(tau, rho, layer))
-        via_map = layer_affine_map(layer, rho).apply(bloch_vector(tau))
+        m, d = layer_affine_map(layer, rho)
+        via_map = m @ bloch_vector(tau) + d
         worst = max(worst, float(np.max(np.abs(direct - via_map))))
     assert report(2, "affine map equivalence",
                   f"max deviation {worst:.3g} <= 1e-10 over 200 layers", worst <= 1e-10)

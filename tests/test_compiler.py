@@ -61,6 +61,39 @@ class TestSpecs:
         assert m.degree == 3
         assert m.evaluate(np.array([0.5, 0.0, -0.5])) == pytest.approx(2.0 * 0.5 * 0.25)
 
+    @pytest.mark.parametrize("exps", [{3: 2.5}, {3.0: 1}, {True: 1}, {1: True}, {2: np.float64(2)}],
+                             ids=["float-exponent", "float-variable", "bool-variable",
+                                  "bool-exponent", "numpy-float-exponent"])
+    def test_monomial_rejects_a_variable_or_exponent_that_is_not_an_int(self, exps):
+        with pytest.raises(ValueError, match="^exps: variables and exponents must be ints"):
+            MonomialSpec(1.0, exps)
+
+    def test_monomial_rejects_exps_that_are_not_a_dict(self):
+        with pytest.raises(ValueError, match="^exps: a monomial needs a dict"):
+            MonomialSpec(1.0, [(3, 1)])
+
+    def test_polynomial_rejects_a_monomial_that_is_not_a_monomial_spec(self):
+        with pytest.raises(ValueError, match="^monomials: expected MonomialSpec entries"):
+            PolynomialSpec(1, 0.0, [(1.0, {1: 1})])
+
+    def test_monomial_accepts_numpy_ints(self):
+        assert MonomialSpec(1.0, {np.int64(3): np.int32(2)}).exps == {3: 2}
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_monomial_rejects_a_coefficient_that_is_not_finite(self, x):
+        with pytest.raises(ValueError, match="^coeff must be finite"):
+            MonomialSpec(x, {1: 1})
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_polynomial_rejects_a_constant_that_is_not_finite(self, x):
+        with pytest.raises(ValueError, match="^c0 must be finite"):
+            PolynomialSpec(1, x, [MonomialSpec(1.0, {1: 1})])
+
+    @pytest.mark.parametrize("n", [0, -1, True, 1.0])
+    def test_polynomial_rejects_a_qubit_count_that_is_not_a_positive_int(self, n):
+        with pytest.raises(ValueError, match="^n_qubits must be an int of at least 1"):
+            PolynomialSpec(n, 0.0, [])
+
     def test_polynomial_variable_range(self):
         with pytest.raises(ValueError):
             PolynomialSpec(1, 0.0, [MonomialSpec(1.0, {4: 1})])
@@ -215,6 +248,12 @@ class TestExtract:
         bad = PolynomialSpec(1, 0.0, [MonomialSpec(1.0, {3: 1})])
         with pytest.raises(ValueError, match="check row"):
             extract_coefficients(model, basis=bad)
+
+    def test_basis_of_another_qubit_count_rejected(self):
+        circ = fit_coefficients(PolynomialSpec(1, 0.0, [MonomialSpec(1.0, {1: 1, 3: 1})]))
+        basis = PolynomialSpec(2, 0.0, [MonomialSpec(1.0, {5: 1})])
+        with pytest.raises(ValueError, match="^basis is over 2 qubits, the circuit over 1$"):
+            extract_coefficients(circ, basis)
 
     def test_mixed_schedule_needs_basis(self):
         p = PolynomialSpec(1, 0.0, [MonomialSpec(1.0, {1: 1}), MonomialSpec(1.0, {3: 1})])
@@ -444,3 +483,18 @@ class TestFit:
         monkeypatch.setattr(linalg, "fd_jacobian", refuse)
         monkeypatch.setattr(compiler, "fd_jacobian", refuse, raising=False)
         assert fit_coefficients(poly).residual <= FIT_TOL
+
+    def test_univariate_start_builds_no_tensor(self, monkeypatch):
+        # the small-angle start is read off the target's ladder; only the
+        # fit's own points build transfer tensors
+        calls = []
+        build = compiler.layer_transfer_tensor
+
+        def counted(*args):
+            calls.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(compiler, "layer_transfer_tensor", counted)
+        circ = fit_coefficients(BENCH_ROUTES[0])
+        assert len(circ.model.layers) == 6
+        assert len(calls) == 12

@@ -95,7 +95,7 @@ def test_affine_chain_equals_density_matrix_path(model, pure, seed):
             np.testing.assert_allclose(states[depth][k], run_model(head, rho)[0],
                                        rtol=0, atol=1e-10)
             np.testing.assert_allclose(maps[depth - 1][k],
-                                       layer_affine_map(model.layers[depth - 1], rho).m,
+                                       layer_affine_map(model.layers[depth - 1], rho)[0],
                                        rtol=0, atol=1e-12)
 
 
@@ -143,10 +143,10 @@ def test_layers_are_cptp(model, pure, seed):
     rho = random_state(model.n_qubits, pure, np.random.default_rng(seed))
     sig = pauli_word_basis(1)
     for layer in model.layers:
-        e = layer_affine_map(layer, rho)
+        m, d = layer_affine_map(layer, rho)
         # E(I) = I + d . sigma and E(sigma_j) = sum_i M_ij sigma_i
-        images = [sig[0] + np.einsum("i,iab->ab", e.d, sig[1:]),
-                  *np.einsum("ij,iab->jab", e.m, sig[1:])]
+        images = [sig[0] + np.einsum("i,iab->ab", d, sig[1:]),
+                  *np.einsum("ij,iab->jab", m, sig[1:])]
         choi = sum(np.kron(s.T, img) for s, img in zip(sig, images)) / 4
         assert np.linalg.eigvalsh(choi)[0] >= -1e-12
         np.testing.assert_allclose(partial_trace(choi, 2, 2), np.eye(2) / 2,
