@@ -11,7 +11,12 @@ formula (sigma_i kept, the other two signal Paulis scaled by lam_alpha)
 built with no unitary; only General couplings evolve the signal Paulis back
 through exp(iH).
 `affine_chain` pushes a batch of inputs through a chain of transfer tensors;
-it is the one batched kernel behind training and compilation.
+it is the one batched kernel in sample space.  `readout_chain` pushes the
+same tensors through coefficient space instead: the readout of a stack of
+restricted layers is a polynomial in the lam_alpha its couplings read, and
+the chain carries its coefficients and their exact derivatives in the layer
+angles; `readout_system` reads the readout's coefficients and Jacobian off
+it.  The compiler fits on it, and training uses it for restricted models.
 `hadamard_test` gives the exact ancilla value of the interference circuit;
 shot sampling belongs to training alone (`sample_shots`).
 """
@@ -250,6 +255,66 @@ def affine_chain(tensors, lam_ext: np.ndarray, r0: np.ndarray):
         r = np.einsum("nij,nj->ni", m, r) + d
         states.append(r)
     return maps, states
+
+
+def push_layer(t: np.ndarray, c: np.ndarray, variables) -> np.ndarray:
+    """The (r1, r2, r3) coefficient tensors after the layer with transfer
+    tensor t, from the (1, r1, r2, r3) tensors c before it.
+
+    c has shape (4, *batch, *shape), the polynomial axes last.  One product
+    applies t's alpha = 0 slice and each alpha = variables[k] slice to c's
+    first axis; the latter multiplies by lam_alpha, a shift along the k-th
+    polynomial axis, and degrees past shape are dropped.
+    """
+    K = len(variables)
+    parts = t[:, :, [0, *variables]].transpose(2, 0, 1).reshape(-1, 4) @ c.reshape(4, -1)
+    parts = parts.reshape(K + 1, 3, *c.shape[1:])
+    r = parts[0]
+    lead = (slice(None),) * (c.ndim - K)
+    for k in range(K):
+        up = lead + (slice(None),) * k
+        r[up + (slice(1, None),)] += parts[k + 1][up + (slice(None, -1),)]
+    return r
+
+
+def readout_chain(model: ReuploadModel, variables, shape) -> np.ndarray:
+    """Coefficient tensors of (1, r1, r2, r3) as polynomials in the lam at
+    variables, with their derivatives in the layer angles: shape
+    (4, L+1, *shape), slot 0 the tensors and slot l their derivative in
+    theta_l.
+
+    c[:, 0, e_1, .., e_K] is the coefficient of prod lam_{variables[k]}^e_k.
+    Each layer's transfer tensor acts on every slot as on (1, r)
+    (push_layer); other words count as zero, and degrees past shape are
+    dropped.  Every transfer tensor is t = t_C (1 (+) R(theta)) on the j
+    axis, so dt/dtheta = t Omega with Omega[x, y] = -1, Omega[y, x] = 1: the
+    tangent of theta_l enters layer l as Omega (1, r), that is (0, -r2, r1,
+    0) of the coefficients before it, and each layer pushes every slot so far
+    at once.
+    """
+    L = len(model.layers)
+    c = np.zeros((4, L + 1, *shape))
+    c[(slice(None), 0) + (0,) * len(shape)] = [1.0, *initial_bloch(model.initial_signal)]
+    for l, layer in enumerate(model.layers, start=1):
+        c[1, l] = -c[2, 0]
+        c[2, l] = c[1, 0]
+        c[1:, : l + 1] = push_layer(layer_transfer_tensor(layer, model.n_qubits),
+                                    c[:, : l + 1], variables)
+    return c
+
+
+def readout_system(model: ReuploadModel, variables, shape):
+    """(a, jacobian) off one readout_chain: a has columns r1, r2, r3, 1, so
+    a @ (w, b) are the readout's coefficients, flattened, and jacobian is
+    their exact Jacobian in p = (theta_1 .. theta_L, w1, w2, w3, b).  The
+    theta columns are the tangents contracted with w, the (w, b) columns
+    are a itself."""
+    L = len(model.layers)
+    c = readout_chain(model, variables, shape).reshape(4, L + 1, -1)
+    a = c[[1, 2, 3, 0], 0].T
+    # the product np.tensordot(w, c[1:, 1:], axes=1) forms, without its overhead
+    thetas = np.dot(model.readout_w.reshape(1, 3), c[1:, 1:].reshape(3, -1)).reshape(L, -1).T
+    return a, np.concatenate([thetas, a], axis=1)
 
 
 def layer_affine_map(layer: LayerSpec, rho: DensityMatrix):

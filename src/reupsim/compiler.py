@@ -4,17 +4,16 @@ parameters.
 A scheduled layer stack realizes the readout as a polynomial in the uploaded
 state's Pauli coefficients: each layer multiplies the in-plane signal
 components by one coefficient lam_alpha, and z-rotations move weight between
-the fixed x component and the scaled plane.  `_readout_chain` pushes the
-layers' transfer tensors through coefficient space together with their
-derivatives in the layer angles, the one exact coefficient chain behind
-every route; `_readout_system` reads the readout's coefficients and their
-exact Jacobian off it.  `extract_coefficients` reads a circuit back
-independently, from probe inputs.  `schedule_layers` lays out one block of
-couplings per target monomial, `compile_univariate_delta` realizes a
-univariate coefficient ladder to second order in a small angle scale, and
-`fit_coefficients` drives the residual down with one damped Gauss-Newton fit
-over every angle and the readout, or uses an exact one-hot, two-squares or
-near-singular kick construction for the targets those cover.
+the fixed x component and the scaled plane.  Every route reads the
+readout's coefficients and their exact Jacobian in the layer angles off
+`channel.readout_system`, the one coefficient chain, which training uses
+too.  `extract_coefficients` reads a circuit back independently, from probe
+inputs.  `schedule_layers` lays out one block of couplings per target
+monomial, `compile_univariate_delta` realizes a univariate coefficient
+ladder to second order in a small angle scale, and `fit_coefficients`
+drives the residual down with one damped Gauss-Newton fit over every angle
+and the readout, or uses an exact one-hot, two-squares or near-singular
+kick construction for the targets those cover.
 """
 
 from __future__ import annotations
@@ -34,6 +33,8 @@ from .channel import (
     initial_bloch,
     layer_affine_map,  # noqa: F401  unused; bench/workloads.py PATCHES wraps it in traced runs
     layer_transfer_tensor,
+    readout_chain,
+    readout_system,
 )
 
 CHECK_ROW_ATOL = 1e-8
@@ -177,7 +178,7 @@ def _univariate_coeffs(model: ReuploadModel) -> np.ndarray:
     """Readout coefficient ladder (degree 0..L) of a stack whose couplings
     all scale by one variable, exact in float arithmetic."""
     alpha = model.layers[0].coupling.pauli_pair[1]
-    c = _readout_chain(model, [alpha], [len(model.layers) + 1])[:, 0]
+    c = readout_chain(model, [alpha], [len(model.layers) + 1])[:, 0]
     return model.readout_w @ c[1:] + model.readout_b * c[0]
 
 
@@ -313,7 +314,7 @@ def jacobian_theta0(n_layers: int) -> np.ndarray:
         raise ValueError("need at least one layer")
     layers = [LayerSpec(0.0, CouplingSpec.cnot()) for _ in range(n_layers)]
     model = ReuploadModel(1, layers, np.array([0.0, 1.0, 0.0]), 0.0)
-    return _readout_system(model, [3], [n_layers + 1])[1]
+    return readout_system(model, [3], [n_layers + 1])[1]
 
 
 # ---------------------------------------------------------------------------
@@ -324,64 +325,6 @@ def _su2(axis, angle: float) -> np.ndarray:
     axis = axis / np.linalg.norm(axis)
     gen = axis[0] * PAULIS[1] + axis[1] * PAULIS[2] + axis[2] * PAULIS[3]
     return np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * gen
-
-
-def _push_layer(t: np.ndarray, c: np.ndarray, variables) -> np.ndarray:
-    """The (r1, r2, r3) coefficient tensors after the layer with transfer
-    tensor t, from the (1, r1, r2, r3) tensors c before it.
-
-    c has shape (4, *batch, *shape), the polynomial axes last.  One product
-    applies t's alpha = 0 slice and each alpha = variables[k] slice to c's
-    first axis; the latter multiplies by lam_alpha, a shift along the k-th
-    polynomial axis, and degrees past shape are dropped.
-    """
-    K = len(variables)
-    parts = t[:, :, [0, *variables]].transpose(2, 0, 1).reshape(-1, 4) @ c.reshape(4, -1)
-    parts = parts.reshape(K + 1, 3, *c.shape[1:])
-    r = parts[0]
-    lead = (slice(None),) * (c.ndim - K)
-    for k in range(K):
-        up = lead + (slice(None),) * k
-        r[up + (slice(1, None),)] += parts[k + 1][up + (slice(None, -1),)]
-    return r
-
-
-def _readout_chain(model: ReuploadModel, variables, shape) -> np.ndarray:
-    """Coefficient tensors of (1, r1, r2, r3) as polynomials in the lam at
-    variables, with their derivatives in the layer angles: shape
-    (4, L+1, *shape), slot 0 the tensors and slot l their derivative in
-    theta_l.
-
-    c[:, 0, e_1, .., e_K] is the coefficient of prod lam_{variables[k]}^e_k.
-    Each layer's transfer tensor acts on every slot as on (1, r)
-    (_push_layer); other words count as zero, and degrees past shape are
-    dropped.  Every transfer tensor is t = t_C (1 (+) R(theta)) on the j
-    axis, so dt/dtheta = t Omega with Omega[x, y] = -1, Omega[y, x] = 1: the
-    tangent of theta_l enters layer l as Omega (1, r), that is (0, -r2, r1,
-    0) of the coefficients before it, and each layer pushes every slot so far
-    at once.
-    """
-    L = len(model.layers)
-    c = np.zeros((4, L + 1, *shape))
-    c[(slice(None), 0) + (0,) * len(shape)] = [1.0, *initial_bloch(model.initial_signal)]
-    for l, layer in enumerate(model.layers, start=1):
-        c[1, l] = -c[2, 0]
-        c[2, l] = c[1, 0]
-        c[1:, : l + 1] = _push_layer(layer_transfer_tensor(layer, model.n_qubits),
-                                     c[:, : l + 1], variables)
-    return c
-
-
-def _readout_system(model: ReuploadModel, variables, shape):
-    """(a, jacobian) off one _readout_chain: a has columns r1, r2, r3, 1, so
-    a @ (w, b) are the readout's coefficients, flattened, and jacobian is
-    their exact Jacobian in p = (theta_1 .. theta_L, w1, w2, w3, b).  The
-    theta columns are the tangents contracted with w, the (w, b) columns
-    are a itself."""
-    c = _readout_chain(model, variables, shape).reshape(4, len(model.layers) + 1, -1)
-    a = c[[1, 2, 3, 0], 0].T
-    thetas = np.tensordot(model.readout_w, c[1:, 1:], axes=1).T
-    return a, np.concatenate([thetas, a], axis=1)
 
 
 def _target_tensor(poly: PolynomialSpec, variables, shape) -> np.ndarray:
@@ -409,10 +352,10 @@ def _coefficient_system(model: ReuploadModel, poly: PolynomialSpec):
 
     Each scheduled variable's degree runs up to its count in the schedule,
     which covers every monomial the circuit can produce.  Returns
-    (a, target): a as in _readout_system, target flattened the same way.
+    (a, target): a as in channel.readout_system, target flattened the same way.
     """
     variables, shape = _system_axes(poly)
-    a, _ = _readout_system(model, variables, shape)
+    a, _ = readout_system(model, variables, shape)
     return a, _target_tensor(poly, variables, shape).ravel()
 
 
@@ -458,7 +401,7 @@ def _fit_gauss_newton(poly: PolynomialSpec, starts) -> CompiledCircuit:
 
     Each start runs until the sup-norm coefficient error drops below 1e-12;
     the search keeps the best run and stops at the first under FIT_TOL.
-    Each point's residual and Jacobian come from one _readout_system.
+    Each point's residual and Jacobian come from one readout_system.
     """
     couplings = schedule_layers(poly)
     L = len(couplings)
@@ -470,7 +413,7 @@ def _fit_gauss_newton(poly: PolynomialSpec, starts) -> CompiledCircuit:
         return ReuploadModel(poly.n_qubits, layers, p[L : L + 3], float(p[L + 3]))
 
     def system(p):
-        a, jac = _readout_system(circuit(p), variables, shape)
+        a, jac = readout_system(circuit(p), variables, shape)
         return a @ p[L:] - target, jac
 
     best_p, best_res = None, np.inf

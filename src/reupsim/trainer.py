@@ -1,16 +1,22 @@
 """Gradient training of re-uploading models on labeled state datasets.
 
-Forward passes batch the whole dataset through per-layer transfer tensors,
-so one epoch costs a handful of einsums instead of a density-matrix
-simulation per sample.  Gradients are exact: one adjoint contraction over
-the samples per layer gives the loss derivative with respect to the layer's
+train runs one of two exact paths, chosen from the model and the dataset
+alone.  A model of restricted layers only, whose readout polynomial has
+fewer coefficients than there are training samples, trains on those
+coefficients: one channel.readout_system per step gives them and their
+Jacobian in the parameters, the outputs are the samples' monomials V times
+the coefficients, and the gradient is (V^T dloss/df) times the Jacobian.
+Every other model (General or mixed couplings, or as many coefficients as
+samples) trains on the samples: forward passes batch the whole dataset
+through per-layer transfer tensors, and one adjoint contraction over the
+samples per layer gives the loss derivative with respect to the layer's
 transfer tensor, which is pulled back to a restricted coupling's angle
 through the signal z-rotation and to a General generator's coefficients
 through the analytic derivative of exp(iH); the readout (w, b) is
-differentiated directly.  A full-batch epoch reuses the forward pass of its
-recorded loss, transfer tensors included, for the gradient.  Updates are
-Adam; gradient_fd is the central-difference oracle the tests compare
-against.
+differentiated directly.  On either path a full-batch epoch reuses the
+point of its recorded loss for the gradient, and evaluate runs on the
+samples.  Updates are Adam, and loss_history is one float64 array;
+gradient_fd is the central-difference oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .channel import (
     layer_transfer_tensor,
     model_from_json,
     model_to_json,
+    readout_system,
     run_model,
     rz_bloch,
     sample_shots,
@@ -82,9 +89,10 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """loss_history has the loss before each epoch plus the final loss."""
+    """loss_history has the loss before each epoch plus the final loss, as
+    one float64 array."""
 
-    loss_history: list
+    loss_history: np.ndarray
     final_params: ReuploadModel
     test_accuracy: float
     histogram: list
@@ -311,12 +319,78 @@ def _batch_gradient(model: ReuploadModel, lam, y, config: TrainConfig) -> np.nda
 # ---------------------------------------------------------------------------
 # training loop
 
+def _coefficient_axes(model: ReuploadModel):
+    """Variables and coefficient shape of a restricted model's readout
+    polynomial: each layer raises its lam_alpha's degree by one.  None when
+    a layer is General."""
+    if any(layer.coupling.variant == "General" for layer in model.layers):
+        return None
+    alphas = [layer.coupling.pauli_pair[1] for layer in model.layers]
+    variables = sorted(set(alphas))
+    return variables, [alphas.count(a) + 1 for a in variables]
+
+
+def _monomials(lam: np.ndarray, variables, shape) -> np.ndarray:
+    """(N, C) monomials prod_k lam_{variables[k]}^e_k of the (1, lam) rows,
+    in the flattened order of readout_chain's coefficient grid."""
+    v = np.ones((lam.shape[0], 1))
+    for a, size in zip(variables, shape):
+        v = (v[:, :, None] * lam[:, a, None, None] ** np.arange(size)).reshape(lam.shape[0], -1)
+    return v
+
+
+def _sample_path(work: ReuploadModel, lam, y, config: TrainConfig):
+    """(point, batch_gradient) of the adjoint path, which pushes every sample
+    through every layer.  point(p) returns the exact outputs at p, their
+    final Bloch vectors as a thunk, and the full-batch gradient as a
+    function of dloss/df, all off one forward pass; batch_gradient(p, idx)
+    is the gradient on the samples idx from their own forward pass."""
+
+    def point(p):
+        current = unpack_params(work, p)
+        forward = _forward_states(current, lam)
+        r = forward[2][-1]
+        return (_readout(r, current.readout_w, current.readout_b, 0, None), lambda: r,
+                lambda dldf: _loss_gradient(current, lam, forward, dldf))
+
+    def batch_gradient(p, idx):
+        return _batch_gradient(unpack_params(work, p), lam[idx], y[idx], config)
+
+    return point, batch_gradient
+
+
+def _coefficient_path(work: ReuploadModel, lam, y, config: TrainConfig, variables, shape):
+    """(point, batch_gradient) as in _sample_path, on the coefficient chain of
+    a restricted model: with V the samples' monomials and (a, J) one
+    readout_system, the outputs are V a (w, b), the Bloch vectors V a[:, :3]
+    and the gradient (V^T dloss/df) J.  (w, b) are the last four entries of
+    p (pack_params)."""
+    v = _monomials(lam, variables, shape)
+
+    def system(p):
+        return readout_system(unpack_params(work, p), variables, shape)
+
+    def point(p):
+        a, jac = system(p)
+        return v @ (a @ p[-4:]), lambda: v @ a[:, :3], lambda dldf: (dldf @ v) @ jac
+
+    def batch_gradient(p, idx):
+        a, jac = system(p)
+        vb = v[idx]
+        return (_loss_terms(vb @ (a @ p[-4:]), y[idx], config)[1] @ vb) @ jac
+
+    return point, batch_gradient
+
+
 def train(model: ReuploadModel, train_set, test_set, config: TrainConfig = None) -> TrainReport:
     """Adam training; returns history, the trained model, and test metrics.
 
     loss_history[k] is the (possibly shot-sampled) full-train loss after k
     epochs, so it has max_epochs + 1 entries.  batch_size 0 uses the whole
     training set per update; otherwise epochs shuffle into minibatches.
+    A model whose layers are all restricted trains on its readout
+    polynomial's coefficients (_coefficient_path) when it has fewer of them
+    than training samples; every other model on the samples (_sample_path).
     """
     config = config or TrainConfig()
     if not train_set or not test_set:
@@ -325,37 +399,38 @@ def train(model: ReuploadModel, train_set, test_set, config: TrainConfig = None)
     lam = _lam_ext(train_set, work.n_qubits)
     y = _labels(train_set)
     rng = np.random.default_rng(config.seed)
+    n = len(train_set)
+    axes = _coefficient_axes(work)
+    if axes is not None and np.prod(axes[1]) < n:
+        point, batch_gradient = _coefficient_path(work, lam, y, config, *axes)
+    else:
+        point, batch_gradient = _sample_path(work, lam, y, config)
 
     p = pack_params(work)
     m_adam = np.zeros(p.size)
     v_adam = np.zeros(p.size)
     steps = 0
-    n = len(train_set)
     bs = config.batch_size if 0 < config.batch_size < n else n
 
-    history = []
+    history = np.empty(config.max_epochs + 1)
     for epoch in range(config.max_epochs + 1):
-        current = unpack_params(work, p)
-        forward = _forward_states(current, lam)
-        f = _readout(forward[2][-1], current.readout_w, current.readout_b, config.shots, rng)
-        loss, dldf = _loss_terms(f, y, config)
-        history.append(loss)
-        if not np.isfinite(history[-1]):
+        f, bloch, full_gradient = point(p)
+        # gradients use the exact outputs; shots only sample the reported loss
+        seen = _readout(bloch(), p[-4:-1], p[-1], config.shots, rng) if config.shots else f
+        history[epoch], dldf = _loss_terms(seen, y, config)
+        if not np.isfinite(history[epoch]):
             raise RuntimeError(f"training loss became non-finite after {epoch} epochs")
         if epoch == config.max_epochs:
             break
         order = rng.permutation(n) if bs < n else None
         for start in range(0, n, bs):
             if order is None:
-                # full batch: the recorded loss's forward pass serves the
-                # gradient, and so does its dloss/df unless shots sampled f
+                # full batch: the recorded loss's point serves the gradient
                 if config.shots:
-                    f = _readout(forward[2][-1], current.readout_w, current.readout_b, 0, None)
                     dldf = _loss_terms(f, y, config)[1]
-                g = _loss_gradient(current, lam, forward, dldf)
+                g = full_gradient(dldf)
             else:
-                idx = order[start : start + bs]
-                g = _batch_gradient(unpack_params(work, p), lam[idx], y[idx], config)
+                g = batch_gradient(p, order[start : start + bs])
             steps += 1
             m_adam = ADAM_BETA1 * m_adam + (1.0 - ADAM_BETA1) * g
             v_adam = ADAM_BETA2 * v_adam + (1.0 - ADAM_BETA2) * g * g

@@ -64,18 +64,24 @@ def _within(atol: float):
     return lambda x: bool(np.max(np.abs(x)) <= atol)
 
 
-def _matrices(m, shape: tuple, name: str) -> np.ndarray:
-    """m as a complex array of one shape matrix or a (..., *shape) stack."""
+def _all_finite(x) -> bool:
+    return bool(np.isfinite(x).all())
+
+
+def _matrices(m, shape: tuple, name: str, first: int) -> np.ndarray:
+    """m as a complex array of one shape matrix or a (..., *shape) stack,
+    every entry finite."""
     m = np.asarray(m, dtype=complex)
     if m.shape[-2:] != shape:
         raise ValueError(f"{name} must be {shape[0]}x{shape[1]} or a stack of them, got {m.shape}")
+    _require(_all_finite, m, 2, ValueError, f"{name} is not finite", first)
     return m
 
 
 def corr(m, first: int = 0) -> np.ndarray:
     """corr(M)_ij = tr(M (sigma_i x sigma_j)) / 2 of a 4x4 Hermitian M, or
     of each matrix of a (T, ..., 4, 4) stack: real (..., 3, 3)."""
-    m = _matrices(m, (4, 4), "corr input")
+    m = _matrices(m, (4, 4), "corr input", first)
     out = 0.5 * np.einsum("...ab,ijba->...ij", m, _PAULI_PAIRS)
     _require(_within(CORR_IMAG_ATOL), out.imag, 2, ValueError,
              "corr entries are not real; input is not Hermitian", first)
@@ -108,7 +114,11 @@ def observation1_certificate(u, v, o, first: int = 0):
     computing purity this way.  u, v are 4x4 and o 2x2, or (T, 4, 4) and
     (T, 2, 2) stacks; returns corr (..., 3, 3) and det (...).
     """
-    u, v, o = _matrices(u, (4, 4), "u"), _matrices(v, (4, 4), "v"), _matrices(o, (2, 2), "o")
+    u, v, o = (_matrices(u, (4, 4), "u", first), _matrices(v, (4, 4), "v", first),
+               _matrices(o, (2, 2), "o", first))
+    if not u.shape[:-2] == v.shape[:-2] == o.shape[:-2]:
+        raise ValueError(f"u, v and o must be stacks of one length, got leading shapes "
+                         f"{u.shape[:-2]}, {v.shape[:-2]} and {o.shape[:-2]}")
     _require(is_unitary, u, 2, ValueError, "u is not unitary", first)
     _require(is_unitary, v, 2, ValueError, "v is not unitary", first)
     _require(lambda m: is_hermitian(m, 1e-10), o, 2, ValueError, "o must be Hermitian", first)
@@ -175,7 +185,9 @@ def purity_observable_det(params, first: int = 0) -> np.ndarray:
     Also re-derives tr((rho x rho) O) = tr(rho^2) on 50 fixed sampled states
     as a guard against construction mistakes.
     """
-    o = purity_observable(params)
+    c = np.asarray(params, dtype=float)
+    o = purity_observable(c)
+    _require(_all_finite, c, 1, ValueError, "coefficients are not finite", first)
     two_copy, purities = _purity_probes()
     got = np.einsum("pab,...ba->...p", two_copy, o).real
     _require(_within(1e-10), got - purities, 1, RuntimeError,
@@ -195,6 +207,7 @@ def ksigma_corr(k, first: int = 0) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     if k.shape[-1:] != (3,):
         raise ValueError(f"k must be a real 3-vector or a stack of them, got {k.shape}")
+    _require(_all_finite, k, 1, ValueError, "k is not finite", first)
     w = exp_i_hermitian(np.einsum("...a,aij->...ij", k, _SAME_INDEX_PAIRS))
     profiles = np.einsum("...ba,ibc,...cd->...iad", w.conj(), _SIGNAL_PAULIS, w)
     # a single k's three profiles are one trial, not a stack of three

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from reupsim import compiler, linalg
-from reupsim.channel import CouplingSpec, LayerSpec, ReuploadModel, run_model
+from reupsim import channel, compiler, linalg
+from reupsim.channel import CouplingSpec, LayerSpec, ReuploadModel, readout_system, run_model
 from reupsim.compiler import (
     FIT_TOL,
     CompileError,
@@ -12,7 +12,6 @@ from reupsim.compiler import (
     _circuit_residual,
     _coefficient_system,
     _damped_gauss_newton,
-    _readout_system,
     _system_axes,
     compile_univariate_delta,
     extract_coefficients,
@@ -338,7 +337,7 @@ class TestReadoutJacobian:
 
         for _ in range(3):
             p = rng.normal(size=L + 4)
-            jac = _readout_system(model(p), variables, shape)[1]
+            jac = readout_system(model(p), variables, shape)[1]
             want = fd_jacobian(readout_coeffs, p, 1e-5)
             assert jac.shape == want.shape
             np.testing.assert_allclose(jac, want, rtol=0, atol=1e-7 * np.max(np.abs(want)))
@@ -488,13 +487,13 @@ class TestFit:
         # the small-angle start is read off the target's ladder; only the
         # fit's own points build transfer tensors
         calls = []
-        build = compiler.layer_transfer_tensor
+        build = channel.layer_transfer_tensor
 
         def counted(*args):
             calls.append(1)
             return build(*args)
 
-        monkeypatch.setattr(compiler, "layer_transfer_tensor", counted)
+        monkeypatch.setattr(channel, "layer_transfer_tensor", counted)
         circ = fit_coefficients(BENCH_ROUTES[0])
         assert len(circ.model.layers) == 6
         assert len(calls) == 12

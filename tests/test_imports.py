@@ -23,15 +23,26 @@ print(json.dumps({"modules": names, "added": sorted(added)}))
 """
 
 
-def test_numpy_is_the_only_third_party_import():
+def run_fresh(code: str) -> str:
+    """Standard output of code run in a fresh interpreter that imports this
+    reupsim."""
     src = str(Path(reupsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path}, check=True, timeout=60).stdout
-    probe = json.loads(out)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True, timeout=60).stdout
+
+
+def test_numpy_is_the_only_third_party_import():
+    probe = json.loads(run_fresh(PROBE))
     assert "cli" in probe["modules"]
     third_party = [m for m in probe["added"] if m not in sys.stdlib_module_names]
     assert third_party == ["numpy", "reupsim"]
+
+
+def test_trainer_does_not_load_the_compiler():
+    # the coefficient chain training uses lives in channel, next to affine_chain
+    out = run_fresh("import sys, reupsim.trainer; print('reupsim.compiler' in sys.modules)")
+    assert out.strip() == "False"
 
 
 def test_distribution_is_named_reupsim():

@@ -1,9 +1,10 @@
 """Property tests of the batched transfer-tensor kernel against the
 density-matrix simulation, of the restricted tensors against the evolution
-formula, of the compiler's coefficient chain against the kernel, of complete
+formula, of the coefficient chain against the kernel, of complete
 positivity and trace preservation of every layer, of the trainer's exact
-gradient against finite differences, of bit-exact JSON round trips, and of
-the shared swap permutation."""
+gradient against finite differences and of its coefficient-path gradient
+against the adjoint one, of bit-exact JSON round trips, and of the shared
+swap permutation."""
 
 import os
 import tempfile
@@ -24,9 +25,9 @@ from reupsim.channel import (
     layer_transfer_tensor,
     model_from_json,
     model_to_json,
+    readout_chain,
     run_model,
 )
-from reupsim.compiler import _readout_chain
 from reupsim.linalg import HermitianGenerator, partial_trace, pauli_word_basis, swap_permutation
 from reupsim.states import (
     DensityMatrix,
@@ -37,7 +38,19 @@ from reupsim.states import (
     sample_haar_pure,
     write_dataset,
 )
-from reupsim.trainer import TrainConfig, _batch_gradient, _labels, _lam_ext, gradient_fd
+from reupsim.trainer import (
+    TrainConfig,
+    _batch_gradient,
+    _coefficient_axes,
+    _coefficient_path,
+    _forward_states,
+    _labels,
+    _lam_ext,
+    _loss_gradient,
+    _loss_terms,
+    gradient_fd,
+    pack_params,
+)
 
 
 @st.composite
@@ -123,7 +136,7 @@ def test_readout_polynomials_equal_affine_chain(model, data):
     n = model.n_qubits
     variables = data.draw(st.lists(st.integers(1, 4**n - 1), min_size=1, max_size=2, unique=True))
     # every layer raises each variable's degree by at most one: nothing is truncated
-    c = _readout_chain(model, variables, [len(model.layers) + 1] * len(variables))[:, 0]
+    c = readout_chain(model, variables, [len(model.layers) + 1] * len(variables))[:, 0]
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     lam_ext = np.zeros((5, 4**n))
     lam_ext[:, 0] = 1.0
@@ -165,6 +178,47 @@ def test_loss_gradient_equals_finite_differences(model, pure, loss, seed):
     cfg = TrainConfig(loss=loss)
     g = _batch_gradient(model, _lam_ext(batch, model.n_qubits), _labels(batch), cfg)
     np.testing.assert_allclose(g, gradient_fd(model, batch, cfg), rtol=0, atol=1e-6)
+
+
+@st.composite
+def restricted_models(draw):
+    # one qubit: CNOT and CU_ij read lam_1 .. lam_3; two qubits: CU_alpha words
+    n = draw(st.sampled_from((1, 2)))
+    if n == 1:
+        coupling = st.one_of(st.just(CouplingSpec.cnot()),
+                             st.builds(CouplingSpec.cu_ij, st.integers(1, 3), st.integers(1, 3)))
+    else:
+        coupling = st.builds(lambda a: CouplingSpec.cu_alpha(PauliWord.from_index(a, 2)),
+                             st.integers(1, 15))
+    angles = st.floats(-np.pi, np.pi, allow_nan=False)
+    layers = [LayerSpec(draw(angles), draw(coupling)) for _ in range(draw(st.integers(1, 4)))]
+    w = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)))
+    return ReuploadModel(n, layers, w, draw(st.floats(-1.0, 1.0)),
+                         draw(st.sampled_from(("plus", "zero"))))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(model=restricted_models(), pure=st.lists(st.booleans(), min_size=1, max_size=6),
+       loss=st.sampled_from(("mse", "logistic")), seed=st.integers(0, 2**32 - 1))
+def test_coefficient_gradient_equals_adjoint_gradient(model, pure, loss, seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, len(pure)) if loss == "logistic" else rng.normal(size=len(pure))
+    batch = [LabeledState(random_state(model.n_qubits, p, rng), float(y), {})
+             for p, y in zip(pure, labels)]
+    lam, y, cfg = _lam_ext(batch, model.n_qubits), _labels(batch), TrainConfig(loss=loss)
+    point, batch_gradient = _coefficient_path(model, lam, y, cfg, *_coefficient_axes(model))
+    p = pack_params(model)
+    f, bloch, gradient = point(p)
+    forward = _forward_states(model, lam)
+    r = forward[2][-1]
+    np.testing.assert_allclose(f, r @ model.readout_w + model.readout_b, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(bloch(), r, rtol=0, atol=1e-12)
+    dldf = _loss_terms(f, y, cfg)[1]
+    np.testing.assert_allclose(gradient(dldf), _loss_gradient(model, lam, forward, dldf),
+                               rtol=0, atol=1e-12)
+    idx = rng.permutation(len(batch))[: max(1, len(batch) // 2)]
+    np.testing.assert_allclose(batch_gradient(p, idx), _batch_gradient(model, lam[idx], y[idx], cfg),
+                               rtol=0, atol=1e-12)
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)

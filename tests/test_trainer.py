@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from reupsim import trainer
 from reupsim.channel import CouplingSpec, LayerSpec, ReuploadModel, model_to_json, run_model
 from reupsim.compiler import MonomialSpec, PolynomialSpec, fit_coefficients
 from reupsim.linalg import HermitianGenerator, letters_to_index
@@ -267,7 +268,7 @@ class TestTrain:
         cfg = TrainConfig(loss="logistic", max_epochs=10, seed=3, shots=300)
         rep1 = train(random_model(1, 2, seed=6), data, test, cfg)
         rep2 = train(random_model(1, 2, seed=6), data, test, cfg)
-        assert rep1.loss_history == rep2.loss_history
+        assert np.array_equal(rep1.loss_history, rep2.loss_history)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_aborts(self):
@@ -348,7 +349,74 @@ class TestReplay:
         model = ReuploadModel(1, layers, np.array([0.3, -0.5, 0.8]), 0.0)
         cfg = TrainConfig(loss="logistic", max_epochs=6, seed=4, shots=shots,
                           batch_size=batch_size)
-        assert train(model, data, test, cfg).loss_history == replayed_history(model, data, cfg)
+        assert np.array_equal(train(model, data, test, cfg).loss_history,
+                              replayed_history(model, data, cfg))
+
+
+def restricted_model() -> ReuploadModel:
+    # lam_1 once and lam_3 twice: 2 x 3 = 6 readout coefficients
+    layers = [LayerSpec(0.2, CouplingSpec.cnot()), LayerSpec(-0.4, CouplingSpec.cu_ij(2, 1)),
+              LayerSpec(0.7, CouplingSpec.cnot())]
+    return ReuploadModel(1, layers, np.array([0.3, -0.5, 0.8]), 0.1)
+
+
+class TestCoefficientPath:
+    """A model of restricted layers only, with fewer readout coefficients than
+    training samples, trains on the coefficients of its readout polynomial."""
+
+    @pytest.mark.parametrize("shots, batch_size", [(0, 0), (30, 0), (0, 16), (30, 16)])
+    def test_loss_history_matches_plain_loop(self, shots, batch_size):
+        data, test = generate_dataset("band", 40, 10, seed=13)
+        cfg = TrainConfig(loss="logistic", max_epochs=6, seed=4, shots=shots,
+                          batch_size=batch_size)
+        np.testing.assert_allclose(train(restricted_model(), data, test, cfg).loss_history,
+                                   replayed_history(restricted_model(), data, cfg),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("shots, batch_size", [(0, 0), (30, 8)])
+    def test_samples_are_pushed_only_by_evaluate(self, monkeypatch, shots, batch_size):
+        calls = []
+
+        def counted(name):
+            fn = getattr(trainer, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(trainer, name, wrapper)
+
+        def refuse(*args):
+            raise AssertionError("adjoint sweep on the coefficient path")
+
+        counted("affine_chain")
+        counted("evaluate")
+        monkeypatch.setattr(trainer, "_loss_gradient", refuse)
+        data = grid_dataset(30)
+        cfg = TrainConfig(max_epochs=20, shots=shots, batch_size=batch_size)
+        train(random_model(1, 4, seed=0, restricted=True), data, data, cfg)
+        assert calls == ["evaluate", "affine_chain"]
+
+    def test_as_many_coefficients_as_samples_train_on_the_samples(self, monkeypatch):
+        # 4 CNOT layers read lam_3 up to degree 4: 5 coefficients >= 3 samples
+        def refuse(*args):
+            raise AssertionError("coefficient path taken")
+
+        monkeypatch.setattr(trainer, "readout_system", refuse)
+        data = grid_dataset(3)
+        model = random_model(1, 4, seed=0, restricted=True)
+        cfg = TrainConfig(max_epochs=8, seed=0)
+        assert np.array_equal(train(model, data, data, cfg).loss_history,
+                              replayed_history(model, data, cfg))
+
+    def test_loss_history_is_one_array(self):
+        data = grid_dataset(11)
+        for model in (restricted_model(), random_model(1, 1, seed=0)):
+            rep = train(model, data, data, TrainConfig(max_epochs=7, seed=0))
+            assert isinstance(rep.loss_history, np.ndarray)
+            assert rep.loss_history.dtype == np.float64 and rep.loss_history.shape == (8,)
+            assert report_to_json(rep).startswith(
+                '{"loss_history": [' + ", ".join(map(repr, rep.loss_history.tolist())) + "]")
 
 
 class TestEvaluate:

@@ -367,3 +367,40 @@ class TestOneOrAStack:
             corr(np.zeros((2, 4, 3)))
         with pytest.raises(ValueError, match="expected six coefficients"):
             purity_observable_det(np.zeros((2, 5)))
+
+
+class TestBadInputsNamed:
+    """Non-finite entries and stacks of unequal length raise a ValueError that
+    names the input before any certificate algebra runs."""
+
+    def test_non_finite_purity_coefficients(self):
+        with pytest.raises(ValueError, match="^trial 0: coefficients are not finite$"):
+            purity_observable_det(np.full(6, np.nan))
+        c = np.zeros((3, 6))
+        c[2, 4] = np.inf
+        with pytest.raises(ValueError, match="^trial 7: coefficients are not finite$"):
+            purity_observable_det(c, first=5)
+
+    def test_non_finite_corr_input(self):
+        with pytest.raises(ValueError, match="^trial 0: corr input is not finite$"):
+            corr(np.full((4, 4), np.nan))
+        m = np.stack([swap4(), swap4()])
+        m[1, 2, 2] = np.nan
+        with pytest.raises(ValueError, match="^trial 1: corr input is not finite$"):
+            corr(m)
+
+    def test_non_finite_circuit_and_angles(self):
+        u = np.eye(4, dtype=complex)
+        u[3, 3] = np.nan
+        with pytest.raises(ValueError, match="^trial 0: u is not finite$"):
+            observation1_certificate(u, np.eye(4), PAULIS[3])
+        with pytest.raises(ValueError, match="^trial 1: k is not finite$"):
+            ksigma_corr(np.array([[0.1, 0.2, 0.3], [np.inf, 0.0, 0.0]]))
+
+    def test_unequal_stacks_named(self):
+        u, v, o = verify._observation1_draws(np.random.default_rng(0), 3)
+        with pytest.raises(ValueError, match=r"^u, v and o must be stacks of one length, "
+                                             r"got leading shapes \(3,\), \(2,\) and \(3,\)$"):
+            observation1_certificate(u, v[:2], o)
+        with pytest.raises(ValueError, match=r"leading shapes \(\), \(\) and \(1,\)$"):
+            observation1_certificate(u[0], v[0], o[:1])
