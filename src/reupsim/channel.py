@@ -4,19 +4,21 @@ Each layer rotates the signal about z, couples it unitarily to a fresh copy
 of an n-qubit input state and traces the copy out.  The signal qubit is
 always the first tensor factor.  Each layer is a CPTP collision map on the
 signal and affine on its Bloch vector; `layer_transfer_tensor` is its Pauli
-transfer over the Pauli coefficients of the input, and `layer_affine_map` its
-value at one input, the plain pair (m, d) of r -> m r + d.  A restricted
-coupling is one Pauli pair (i, alpha), and its transfer is the evolution
-formula (sigma_i kept, the other two signal Paulis scaled by lam_alpha)
-built with no unitary; only General couplings evolve the signal Paulis back
-through exp(iH).
-`affine_chain` pushes a batch of inputs through a chain of transfer tensors;
-it is the one batched kernel in sample space.  `readout_chain` pushes the
-same tensors through coefficient space instead: the readout of a stack of
-restricted layers is a polynomial in the lam_alpha its couplings read, and
-the chain carries its coefficients and their exact derivatives in the layer
-angles; `readout_system` reads the readout's coefficients and Jacobian off
-it.  The compiler fits on it, and training uses it for restricted models.
+transfer over the Pauli coefficients of the input, and the stack of them for
+a sequence of layers, whose General layers share one stacked exp(iH); and
+`layer_affine_map` is its value at one input, the plain pair (m, d) of
+r -> m r + d.  A restricted coupling is one Pauli pair (i, alpha), and its
+transfer is the evolution formula (sigma_i kept, the other two signal Paulis
+scaled by lam_alpha) built with no unitary; only General couplings evolve
+the signal Paulis back through exp(iH).
+`affine_chain` pushes a batch of inputs through a chain of transfer tensors,
+one matmul per layer; it is the one batched kernel in sample space.
+`readout_chain` pushes the same tensors through coefficient space instead:
+the readout of a stack of restricted layers is a polynomial in the lam_alpha
+its couplings read, and the chain carries its coefficients and their exact
+derivatives in the layer angles; `readout_system` reads the readout's
+coefficients and Jacobian off it.  The compiler fits on it, and training
+uses it for restricted models.
 `hadamard_test` gives the exact ancilla value of the interference circuit;
 shot sampling belongs to training alone (`sample_shots`).
 """
@@ -33,9 +35,11 @@ from .linalg import (
     PAULIS,
     HermitianGenerator,
     exp_i_hermitian,
+    generator_matrices,
     is_unitary,
     kron,
     partial_trace,
+    pauli_trace_matrix,
     pauli_word_basis,
 )
 from .states import (
@@ -198,8 +202,9 @@ def apply_layer(tau: DensityMatrix, rho: DensityMatrix, layer: LayerSpec) -> Den
     return DensityMatrix(out, 1)
 
 
-def layer_transfer_tensor(layer: LayerSpec, n_qubits: int) -> np.ndarray:
-    """Layer action resolved over Pauli components, shape (3, 4, 4**n).
+def layer_transfer_tensor(layers, n_qubits: int) -> np.ndarray:
+    """Layer action resolved over Pauli components: shape (3, 4, 4**n) for
+    one LayerSpec, and the (L, 3, 4, 4**n) stack of them for a sequence.
 
     The coupling's tensor t_C[i, j, alpha] = tr[C^dag (sigma_i (x) I) C
     (sigma_j (x) W_alpha)] / 2d, d = 2**n, turned by the signal z-rotation
@@ -207,27 +212,45 @@ def layer_transfer_tensor(layer: LayerSpec, n_qubits: int) -> np.ndarray:
     A restricted coupling (i, alpha) gives the evolution formula, three unit
     entries and no unitary: sigma_i is kept and the other two signal Paulis
     pick up W_alpha.  A General coupling evolves the signal Paulis back
-    through exp(iH) and reads them off over the (n+1)-qubit Pauli words.
+    through its layer unitary exp(iH) (Rz(theta) (x) I), which carries the
+    rotation, and reads them off over the (n+1)-qubit Pauli words.  A
+    sequence builds its General layers together: one stacked exp_i_hermitian,
+    one batched conjugation and one matmul with pauli_trace_matrix.
     The output Bloch vector is t contracted with (1, r) and (1, lam), where
     lam are the Pauli coefficients of the uploaded state.
     """
-    coupling = layer.coupling
-    if coupling.n_env != n_qubits:
-        raise ValueError(f"coupling acts on {coupling.n_env} environment qubits, not {n_qubits}")
-    if coupling.variant == "General":
-        c = build_coupling(coupling, n_qubits)
-        words = pauli_word_basis(n_qubits + 1)
-        # sigma_i (x) I for i = 1..3 are the words 4**n * i
-        heis = c.conj().T @ words[4**n_qubits :: 4**n_qubits] @ c
-        t = np.einsum("iab,mba->im", heis, words).real / 2 ** (n_qubits + 1)
-        t = t.reshape(3, 4, 4**n_qubits)
-    else:
+    stack = [layers] if isinstance(layers, LayerSpec) else layers
+    out = np.zeros((len(stack), 3, 4, 4**n_qubits))
+    general = []
+    for l, layer in enumerate(stack):
+        coupling = layer.coupling
+        if coupling.n_env != n_qubits:
+            raise ValueError(f"coupling acts on {coupling.n_env} environment qubits, not {n_qubits}")
+        if coupling.variant == "General":
+            general.append(l)
+            continue
         i, alpha = coupling.pauli_pair
-        t = np.zeros((3, 4, 4**n_qubits))
+        t = out[l]
         for k in (1, 2, 3):
             t[k - 1, k, 0 if k == i else alpha] = 1.0
-    t[:, 1:] = np.einsum("ika,kj->ija", t[:, 1:], rz_bloch(layer.theta))
-    return t
+        t[:, 1:] = np.einsum("ika,kj->ija", t[:, 1:], rz_bloch(layer.theta))
+    if general:
+        out[general] = _general_tensors([stack[l] for l in general], n_qubits)
+    return out if stack is layers else out[0]
+
+
+def _general_tensors(layers, n_qubits: int) -> np.ndarray:
+    """The (G, 3, 4, 4**n) transfer tensors of General layers, built together."""
+    h = generator_matrices([layer.coupling.generator for layer in layers])
+    # Rz(theta) (x) I is diagonal, so it scales the columns of exp(iH)
+    half = np.repeat([-0.5j, 0.5j], 2**n_qubits)
+    rz = np.exp(np.multiply.outer([layer.theta for layer in layers], half))
+    u = exp_i_hermitian(h) * rz[:, None]
+    # sigma_i (x) I for i = 1..3 are the words 4**n * i
+    signal = pauli_word_basis(n_qubits + 1)[4**n_qubits :: 4**n_qubits]
+    heis = u.conj().swapaxes(-1, -2)[:, None] @ signal @ u[:, None]
+    t = (heis.reshape(3 * len(layers), -1) @ pauli_trace_matrix(n_qubits + 1)).real
+    return t.reshape(len(layers), 3, 4, 4**n_qubits) / 2 ** (n_qubits + 1)
 
 
 def initial_bloch(which: str) -> np.ndarray:
@@ -240,16 +263,17 @@ def initial_bloch(which: str) -> np.ndarray:
 def affine_chain(tensors, lam_ext: np.ndarray, r0: np.ndarray):
     """Push a batch of uploaded states through a chain of transfer tensors.
 
-    tensors are layer_transfer_tensor outputs, lam_ext the stacked (1, lam)
-    rows of the inputs, shape (N, 4**n), and r0 the Bloch vector entering the
-    first layer, shape (3,) or (N, 3).  Returns (maps, states): the per-layer
+    tensors are layer_transfer_tensor outputs (a list, or the (L, 3, 4, 4**n)
+    stack of a sequence), lam_ext the stacked (1, lam) rows of the inputs,
+    shape (N, 4**n), and r0 the Bloch vector entering the first layer, shape
+    (3,) or (N, 3).  Returns (maps, states): the per-layer
     linear parts (N, 3, 3), and the Bloch vectors entering each layer
     followed by the final ones (N, 3).
     """
     r = np.broadcast_to(r0, (lam_ext.shape[0], 3))
     maps, states = [], [r]
     for t in tensors:
-        v = np.einsum("ija,na->nij", t, lam_ext)
+        v = (lam_ext @ t.reshape(12, -1).T).reshape(-1, 3, 4)
         m, d = v[:, :, 1:], v[:, :, 0]
         maps.append(m)
         r = np.einsum("nij,nj->ni", m, r) + d

@@ -283,6 +283,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a size the arrays cannot be allocated for
+        # a MemoryError from Python itself, as opposed to numpy, has no message
+        print("error: not enough memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -223,7 +223,7 @@ def _chebyshev_nodes(count: int) -> np.ndarray:
 
 def _final_bloch(model: ReuploadModel, lam_ext: np.ndarray) -> np.ndarray:
     """Final signal Bloch vectors for stacked (1, lam) rows, shape (P, 3)."""
-    tensors = [layer_transfer_tensor(l, model.n_qubits) for l in model.layers]
+    tensors = layer_transfer_tensor(model.layers, model.n_qubits)
     return affine_chain(tensors, lam_ext, initial_bloch(model.initial_signal))[1][-1]
 
 

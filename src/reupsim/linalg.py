@@ -101,6 +101,21 @@ def pauli_word_basis(n_qubits: int) -> np.ndarray:
     return words
 
 
+@lru_cache(maxsize=8)
+def pauli_trace_matrix(n_qubits: int) -> np.ndarray:
+    """Read-only (4**n * 4**n, 4**n) matrix X with a.reshape(-1) @ X the
+    traces tr[a W_alpha] of a 2**n x 2**n matrix a, for every word alpha.
+
+    Its columns are the conjugated, flattened words: tr[a W] = vec(a) .
+    vec(W^T), and W^T is the conjugate of W because W is Hermitian.  So one
+    matmul reads a whole stack of matrices off over the words.
+    """
+    words = pauli_word_basis(n_qubits)
+    x = np.ascontiguousarray(words.reshape(len(words), -1).conj().T)
+    x.flags.writeable = False
+    return x
+
+
 def index_to_letters(alpha: int, n_qubits: int) -> tuple[int, ...]:
     """Base-4 digits of alpha, most significant digit = first qubit."""
     if not 0 <= alpha < 4**n_qubits:
@@ -159,6 +174,15 @@ class HermitianGenerator:
         words = pauli_word_basis(n)
         coeffs = np.einsum("aij,ji->a", words[1:], h).real / h.shape[0]
         return cls(n, coeffs)
+
+
+def generator_matrices(generators) -> np.ndarray:
+    """The (G, d, d) stack of the matrices of HermitianGenerators on one
+    qubit count, from one product of their coefficients with the word basis."""
+    n = generators[0].n_qubits
+    words = pauli_word_basis(n)
+    coeffs = np.stack([g.coeffs for g in generators])
+    return (coeffs @ words[1:].reshape(len(words) - 1, -1)).reshape(-1, 2**n, 2**n)
 
 
 def exp_i_hermitian(h) -> np.ndarray:

@@ -273,10 +273,11 @@ def _psi_t_matrices(t) -> np.ndarray:
 # JSONL serialization
 
 
-def _matrix_from_json(rows, n: int) -> np.ndarray:
+def _matrix_from_json(rows, n: int, may_hold_bool: bool) -> np.ndarray:
     """The (d, d, 2) re/im array of a d x d matrix, d = 2**n, given as rows
     of [re, im] pairs of JSON numbers.  numpy reads a bool as 0 or 1, so
-    bools are looked for entry by entry."""
+    bools are looked for entry by entry when may_hold_bool: a record whose
+    text spells neither true nor false holds none."""
     if n >= 64:  # no list holds 2**64 rows, and 2**n is not worth building
         raise ValueError(f"matrix: n = {n} needs 2**{n} rows")
     d = 2**n
@@ -285,7 +286,8 @@ def _matrix_from_json(rows, n: int) -> np.ndarray:
     except ValueError:  # ragged nesting
         m = None
     if (m is None or m.shape != (d, d, 2) or m.dtype.kind not in "fiu"
-            or any(type(x) is bool for row in rows for pair in row for x in pair)):
+            or may_hold_bool
+            and any(type(x) is bool for row in rows for pair in row for x in pair)):
         raise ValueError(f"matrix: {_matrix_fault(rows, n)}")
     return m
 
@@ -442,7 +444,8 @@ def read_dataset(path) -> list:
                 rec = json_object(json.loads(line), "record")
                 n = json_int(rec["n"], "n")
                 label = json_number(rec["label"], "label")
-                m = _matrix_from_json(rec["matrix"], n)
+                # a JSON bool is spelled true or false, so no other line holds one
+                m = _matrix_from_json(rec["matrix"], n, "true" in line or "false" in line)
                 meta = rec.get("meta", {})
                 first = _check_record(n, label, meta, first)
             except (KeyError, TypeError, ValueError) as exc:

@@ -7,15 +7,16 @@ coefficients: one channel.readout_system per step gives them and their
 Jacobian in the parameters, the outputs are the samples' monomials V times
 the coefficients, and the gradient is (V^T dloss/df) times the Jacobian.
 Every other model (General or mixed couplings, or as many coefficients as
-samples) trains on the samples: forward passes batch the whole dataset
-through per-layer transfer tensors, and one adjoint contraction over the
-samples per layer gives the loss derivative with respect to the layer's
-transfer tensor, which is pulled back to a restricted coupling's angle
-through the signal z-rotation and to a General generator's coefficients
-through the analytic derivative of exp(iH); the readout (w, b) is
-differentiated directly.  On either path a full-batch epoch reuses the
-point of its recorded loss for the gradient, and evaluate runs on the
-samples.  Updates are Adam, and loss_history is one float64 array;
+samples) trains on the samples: each forward pass builds the stack of
+transfer tensors in one layer_transfer_tensor call and batches the whole
+dataset through it, and one adjoint contraction over the samples per layer
+gives the loss derivative with respect to the layer's transfer tensor.  That
+is pulled back to a restricted coupling's angle through the signal
+z-rotation, and to the General generators' coefficients through the
+analytic derivative of exp(iH), all of a step's General layers in one call;
+the readout (w, b) is differentiated directly.  On either path a full-batch
+epoch reuses the point of its recorded loss for the gradient, and evaluate
+runs on the samples.  Updates are Adam, and loss_history is one float64 array;
 gradient_fd is the central-difference oracle the tests compare against.
 """
 
@@ -26,7 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianGenerator, fd_jacobian, pauli_word_basis
+from .linalg import (
+    HermitianGenerator,
+    fd_jacobian,
+    generator_matrices,
+    pauli_trace_matrix,
+    pauli_word_basis,
+)
 from .channel import (
     CouplingSpec,
     LayerSpec,
@@ -116,10 +123,11 @@ def _labels(dataset) -> np.ndarray:
 
 
 def _forward_states(model: ReuploadModel, lam: np.ndarray):
-    """Per-layer transfer tensors, their linear parts (N, 3, 3) and the Bloch
-    vectors entering each layer, followed by the final ones (see affine_chain).
+    """The (L, 3, 4, 4**n) transfer tensors from one layer_transfer_tensor
+    call, their linear parts (N, 3, 3) and the Bloch vectors entering each
+    layer, followed by the final ones (see affine_chain).
     """
-    tensors = [layer_transfer_tensor(layer, model.n_qubits) for layer in model.layers]
+    tensors = layer_transfer_tensor(model.layers, model.n_qubits)
     return (tensors, *affine_chain(tensors, lam, initial_bloch(model.initial_signal)))
 
 
@@ -243,31 +251,37 @@ def gradient_fd(model: ReuploadModel, batch, config: TrainConfig = None) -> np.n
     return fd_jacobian(loss_at, p0, FD_STEP)
 
 
-def _generator_gradient(generator: HermitianGenerator, g: np.ndarray) -> np.ndarray:
-    """Pull dloss/dt_C back to the Pauli coefficients of a General generator.
+def _generator_gradient(generators, g: np.ndarray) -> np.ndarray:
+    """Pull dloss/dt_C back to the Pauli coefficients of General generators,
+    all at once: row k of the (G, 4**(n+1) - 1) result is generators[k]'s.
 
-    g[i, j, alpha] is dloss/dt_C[i, j, alpha] for the coupling's transfer
-    tensor t_C (the layer's tensor before the signal z-rotation), flattened
-    over (j, alpha), shape (3, 4**(n+1)).  With U = exp(iH) and d = 2**n,
-    dloss = Re tr(dU M) / d for M = sum g[i, m] P_m U^dag (sigma_i (x) I).
-    The derivative of exp(iH) along dH is V (Phi o V^dag dH V) V^dag for
-    H = V diag(lam) V^dag, with Phi the symmetric matrix of divided
+    g[k, i, j, alpha] is dloss/dt_C[i, j, alpha] for the k-th coupling's
+    transfer tensor t_C (the layer's tensor before the signal z-rotation),
+    flattened over (j, alpha), shape (G, 3, 4**(n+1)).  With U = exp(iH) and
+    d = 2**n, dloss = Re tr(dU M) / d for M = sum g[i, m] P_m U^dag (sigma_i
+    (x) I).  The derivative of exp(iH) along dH is V (Phi o V^dag dH V) V^dag
+    for H = V diag(lam) V^dag, with Phi the symmetric matrix of divided
     differences of exp(i .) (Daleckii-Krein), so dloss/dc_k =
-    Re tr(P_k Q) / d with Q = V (Phi o V^dag M V) V^dag.
+    Re tr(P_k Q) / d with Q = V (Phi o V^dag M V) V^dag.  One stacked eigh
+    serves every generator; the sums over the words are matmuls with the
+    flattened word basis and with pauli_trace_matrix.
     """
-    n_qubits = generator.n_qubits - 1
-    words = pauli_word_basis(generator.n_qubits)
-    signal = words[[4**n_qubits * i for i in (1, 2, 3)]]
-    vals, vecs = np.linalg.eigh(generator.matrix())
-    u_dag = vecs @ (np.exp(-1j * vals)[:, None] * vecs.conj().T)
-    b = np.einsum("im,mxy->ixy", g, words)
-    m = np.sum(b @ u_dag @ signal, axis=0)
-    m_eig = vecs.conj().T @ m @ vecs
+    n_qubits = generators[0].n_qubits - 1
+    words = pauli_word_basis(n_qubits + 1)
+    vals, vecs = np.linalg.eigh(generator_matrices(generators))
+    vecs_dag = vecs.conj().swapaxes(-1, -2)
+    u_dag = vecs @ (np.exp(-1j * vals)[..., None] * vecs_dag)
+    b = (g.reshape(-1, len(words)) @ words.reshape(len(words), -1)).reshape(
+        len(generators), 3, *words.shape[1:])
+    # sigma_i (x) I for i = 1..3 are the words 4**n * i
+    m = np.sum(b @ u_dag[:, None] @ words[4**n_qubits :: 4**n_qubits], axis=1)
+    m_eig = vecs_dag @ m @ vecs
     # (e^{ia} - e^{ib}) / (a - b) in a form that stays exact as a -> b
-    gap = vals[:, None] - vals[None, :]
-    phi = 1j * np.exp(0.5j * (vals[:, None] + vals[None, :])) * np.sinc(gap / (2 * np.pi))
-    q = vecs @ (phi * m_eig) @ vecs.conj().T
-    return np.einsum("kab,ba->k", words[1:], q).real / 2**n_qubits
+    gap = vals[:, :, None] - vals[:, None, :]
+    phi = 1j * np.exp(0.5j * (vals[:, :, None] + vals[:, None, :])) * np.sinc(gap / (2 * np.pi))
+    q = vecs @ (phi * m_eig) @ vecs_dag
+    traces = q.reshape(len(generators), -1) @ pauli_trace_matrix(n_qubits + 1)[:, 1:]
+    return traces.real / 2**n_qubits
 
 
 def _loss_gradient(model: ReuploadModel, lam, forward, dldf: np.ndarray) -> np.ndarray:
@@ -277,10 +291,11 @@ def _loss_gradient(model: ReuploadModel, lam, forward, dldf: np.ndarray) -> np.n
     Per layer, one adjoint contraction over the samples gives
     G[i, j, alpha] = dloss/dt[i, j, alpha] for the layer's transfer tensor t.
     Every tensor is its coupling's tensor t_C turned by the signal z-rotation
-    on the j axis, t = t_C (1 (+) R(theta)).  General generators pull
-    G_C = G (1 (+) R(theta))^T back through exp(iH) (_generator_gradient).  A
-    restricted angle only turns the rotation, so dt/dtheta = t Omega on the j
-    axis with Omega[x, y] = -1, Omega[y, x] = 1.
+    on the j axis, t = t_C (1 (+) R(theta)).  A General layer's G_C =
+    G (1 (+) R(theta))^T is collected, and after the sweep one
+    _generator_gradient call pulls every General layer's back through
+    exp(iH) together.  A restricted angle only turns the rotation, so
+    dt/dtheta = t Omega on the j axis with Omega[x, y] = -1, Omega[y, x] = 1.
     """
     n = lam.shape[0]
     tensors, maps, prefixes = forward
@@ -292,18 +307,23 @@ def _loss_gradient(model: ReuploadModel, lam, forward, dldf: np.ndarray) -> np.n
         suffixes[li] = u
         u = np.einsum("nij,ni->nj", maps[li], u)
 
-    grads = []
+    grads, general = [], []
     for li, layer in enumerate(model.layers):
         # G[i, j, alpha] = sum_n dldf_n u_n[i] (1, r_prev)_n[j] lam_n[alpha]
         r_ext = np.concatenate([np.ones((n, 1)), prefixes[li]], axis=1)
         left = (dldf[:, None] * suffixes[li])[:, :, None] * r_ext[:, None, :]
         g = (left.reshape(n, 12).T @ lam).reshape(3, 4, -1)
         if layer.coupling.variant == "General":
-            g[:, 1:] = np.einsum("ija,kj->ika", g[:, 1:], rz_bloch(layer.theta))
-            grads.append(_generator_gradient(layer.coupling.generator, g.reshape(3, -1)))
+            g[:, 1:] = rz_bloch(layer.theta) @ g[:, 1:]
+            general.append((len(grads), layer.coupling.generator, g.reshape(3, -1)))
+            grads.append(None)
         else:
             t = tensors[li]
             grads.append(np.array([np.sum(g[:, 1] * t[:, 2]) - np.sum(g[:, 2] * t[:, 1])]))
+    if general:
+        slots, generators, pulled = zip(*general)
+        for slot, row in zip(slots, _generator_gradient(generators, np.stack(pulled))):
+            grads[slot] = row
     grads.append(dldf @ prefixes[-1])
     grads.append(np.array([np.sum(dldf)]))
     return np.concatenate(grads)

@@ -252,3 +252,22 @@ class TestReproduce:
         with pytest.raises(SystemExit) as exc:
             run(["reproduce", "--preset", "nonsense"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("message, expected", [
+    # numpy names the allocation; a MemoryError from Python itself says nothing
+    ("Unable to allocate 7.28 TiB for an array",
+     "error: not enough memory: Unable to allocate 7.28 TiB for an array\n"),
+    ("", "error: not enough memory\n"),
+], ids=["numpy", "python"])
+def test_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch, message, expected):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("reupsim.cli.generate_dataset", exhausted)
+    code = run(["gen-dataset", "--task", "entropy", "--train-size", 100000000000,
+                "--test-size", 5, "--out", tmp_path / "ds"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == expected
+    assert "Traceback" not in err

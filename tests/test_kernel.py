@@ -27,8 +27,15 @@ from reupsim.channel import (
     model_to_json,
     readout_chain,
     run_model,
+    rz_bloch,
 )
-from reupsim.linalg import HermitianGenerator, partial_trace, pauli_word_basis, swap_permutation
+from reupsim.linalg import (
+    HermitianGenerator,
+    exp_i_hermitian,
+    partial_trace,
+    pauli_word_basis,
+    swap_permutation,
+)
 from reupsim.states import (
     DensityMatrix,
     LabeledState,
@@ -259,3 +266,42 @@ def test_swap_permutation_exchanges_first_factors(dim_a, dim_b):
     np.testing.assert_allclose(s @ reduce(np.kron, [a1, b1, a2, b2]) @ s,
                                reduce(np.kron, [a2, b1, a1, b2]), rtol=0, atol=1e-14)
     assert not s.flags.writeable
+
+
+def _mixed_layers(n: int, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    layers = []
+    for k in range(6):
+        theta = rng.uniform(-np.pi, np.pi)
+        if k % 2:
+            alpha = int(rng.integers(1, 4**n))
+            layers.append(LayerSpec(theta, CouplingSpec.cu_alpha(PauliWord.from_index(alpha, n))))
+        else:
+            gen = HermitianGenerator(n + 1, rng.normal(scale=0.7, size=4 ** (n + 1) - 1))
+            layers.append(LayerSpec(theta, CouplingSpec.general(gen)))
+    return layers
+
+
+def _general_tensor_by_einsum(layer: LayerSpec, n: int) -> np.ndarray:
+    """A General layer's tensor one layer at a time, by the trace formula."""
+    words = pauli_word_basis(n + 1)
+    c = exp_i_hermitian(layer.coupling.generator)
+    heis = c.conj().T @ words[4**n :: 4**n] @ c
+    t = (np.einsum("iab,mba->im", heis, words).real / 2 ** (n + 1)).reshape(3, 4, 4**n)
+    t[:, 1:] = np.einsum("ika,kj->ija", t[:, 1:], rz_bloch(layer.theta))
+    return t
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stacked_transfer_tensors_equal_the_per_layer_ones(n):
+    layers = _mixed_layers(n, seed=5 + n)
+    stack = layer_transfer_tensor(layers, n)
+    assert stack.shape == (len(layers), 3, 4, 4**n)
+    for layer, t in zip(layers, stack):
+        single = layer_transfer_tensor(layer, n)
+        assert single.shape == (3, 4, 4**n)
+        if layer.coupling.variant == "General":
+            np.testing.assert_allclose(t, single, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(t, _general_tensor_by_einsum(layer, n), rtol=0, atol=1e-14)
+        else:
+            assert np.array_equal(t, single)

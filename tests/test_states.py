@@ -298,6 +298,16 @@ def test_read_dataset_names_the_matrix_field(tmp_path, case):
         read_dataset(path)
 
 
+def test_read_dataset_reads_true_and_false_outside_the_matrix(tmp_path):
+    # the words send the record's matrix through the bool scan, which finds none
+    path = tmp_path / "ok.jsonl"
+    rec = GOOD_RECORD.replace('"meta": {}', '"meta": {"note": "true", "flag": false}')
+    path.write_text(rec + "\n")
+    (item,) = read_dataset(path)
+    assert item.meta == {"note": "true", "flag": False}
+    assert np.array_equal(item.state.matrix, [[1.0, 0.0], [0.0, 0.0]])
+
+
 def test_read_dataset_names_the_first_bad_state_before_a_later_parse_error(tmp_path):
     path = tmp_path / "bad.jsonl"
     trace_two = GOOD_RECORD.replace('[[0.0, 0.0], [0.0, 0.0]]]', '[[0.0, 0.0], [1.0, 0.0]]]')

@@ -5,7 +5,7 @@ from numpy.testing import assert_array_equal
 from reupsim import trainer
 from reupsim.channel import CouplingSpec, LayerSpec, ReuploadModel, model_to_json, run_model
 from reupsim.compiler import MonomialSpec, PolynomialSpec, fit_coefficients
-from reupsim.linalg import HermitianGenerator, letters_to_index
+from reupsim.linalg import HermitianGenerator, letters_to_index, pauli_word_basis
 from reupsim.states import LabeledState, density_from_bloch, generate_dataset, pauli_coeffs, psi_t
 from reupsim.trainer import (
     TrainConfig,
@@ -27,6 +27,7 @@ from reupsim.trainer import (
     ADAM_EPS,
     _batch_gradient,
     _forward,
+    _generator_gradient,
     _lam_ext,
     _labels,
     _loss_terms,
@@ -503,3 +504,60 @@ class TestHelpers:
         lines = csv.strip().split("\n")
         assert lines[0] == "bin_low,bin_high,count_class0,count_class1"
         assert len(lines) == 31
+
+
+def _generator_gradient_by_einsum(generator: HermitianGenerator, g: np.ndarray) -> np.ndarray:
+    """One generator's pull-back, contracting over the word basis with einsum."""
+    n = generator.n_qubits - 1
+    words = pauli_word_basis(generator.n_qubits)
+    vals, vecs = np.linalg.eigh(generator.matrix())
+    u_dag = vecs @ (np.exp(-1j * vals)[:, None] * vecs.conj().T)
+    b = np.einsum("im,mxy->ixy", g, words)
+    m = np.sum(b @ u_dag @ words[4**n :: 4**n], axis=0)
+    gap = vals[:, None] - vals[None, :]
+    phi = 1j * np.exp(0.5j * (vals[:, None] + vals[None, :])) * np.sinc(gap / (2 * np.pi))
+    q = vecs @ (phi * (vecs.conj().T @ m @ vecs)) @ vecs.conj().T
+    return np.einsum("kab,ba->k", words[1:], q).real / 2**n
+
+
+class TestStackedPullBack:
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    def test_stack_equals_one_call_per_generator(self, n_qubits):
+        rng = np.random.default_rng(21 + n_qubits)
+        size = 4 ** (n_qubits + 1)
+        gens = [HermitianGenerator(n_qubits + 1, rng.normal(scale=0.6, size=size - 1))
+                for _ in range(3)]
+        # the zero generator has one eigenvalue, a single Pauli word two
+        gens.append(HermitianGenerator(n_qubits + 1))
+        word = np.zeros(size - 1)
+        word[letters_to_index((1,) + (3,) * n_qubits) - 1] = 0.8
+        gens.append(HermitianGenerator(n_qubits + 1, word))
+        g = rng.normal(size=(len(gens), 3, size))
+        stacked = _generator_gradient(gens, g)
+        assert stacked.shape == (len(gens), size - 1)
+        for k, gen in enumerate(gens):
+            np.testing.assert_allclose(stacked[k], _generator_gradient([gen], g[k : k + 1])[0],
+                                       rtol=0, atol=1e-13)
+            np.testing.assert_allclose(stacked[k], _generator_gradient_by_einsum(gen, g[k]),
+                                       rtol=0, atol=1e-13)
+
+    def test_one_tensor_build_per_forward_pass_and_one_pull_back_per_step(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            fn = getattr(trainer, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(trainer, name, wrapper)
+
+        counted("layer_transfer_tensor")
+        counted("_generator_gradient")
+        data, test = generate_dataset("entropy", 20, 5, seed=3)
+        cfg = TrainConfig(loss="logistic", max_epochs=7, seed=0)
+        train(random_model(2, 3, seed=0), data, test, cfg)
+        # every epoch's forward pass, the final loss's and evaluate's
+        assert calls.count("layer_transfer_tensor") == cfg.max_epochs + 2
+        assert calls.count("_generator_gradient") == cfg.max_epochs
