@@ -19,8 +19,9 @@ its couplings read, and the chain carries its coefficients and their exact
 derivatives in the layer angles; `readout_system` reads the readout's
 coefficients and Jacobian off it.  The compiler fits on it, and training
 uses it for restricted models.
-`hadamard_test` gives the exact ancilla value of the interference circuit;
-shot sampling belongs to training alone (`sample_shots`).
+`hadamard_test` gives the exact ancilla value of the interference circuit,
+from the circuit's fixed factors built once per (dimension, imag) and
+cached read-only; shot sampling belongs to training alone (`sample_shots`).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,7 +59,7 @@ from .states import (
 COUPLING_VARIANTS = ("CNOT_BtoA", "CU_ij", "CU_alpha", "General")
 
 
-@dataclass
+@dataclass(slots=True)
 class CouplingSpec:
     """Which unitary couples the signal qubit to the uploaded state.
 
@@ -127,7 +129,7 @@ class CouplingSpec:
         return self.generator.n_qubits - 1
 
 
-@dataclass
+@dataclass(slots=True)
 class LayerSpec:
     """One layer: z-rotation of the signal by theta, then the coupling."""
 
@@ -135,7 +137,7 @@ class LayerSpec:
     coupling: CouplingSpec
 
 
-@dataclass
+@dataclass(slots=True)
 class ReuploadModel:
     """Layer stack with linear Bloch readout f = w . r + b.
 
@@ -387,19 +389,32 @@ def hadamard_test(rho: DensityMatrix, u: np.ndarray, imag: bool = False) -> floa
     return hadamard_test_unchecked(rho.matrix, u, imag)
 
 
+@lru_cache(maxsize=8)
+def _hadamard_frame(d: int, imag: bool):
+    """Read-only fixed factors of the d-dimensional Hadamard circuit:
+    (H (x) I) phase, H (x) I and the ancilla readout Z (x) I."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    eye = np.eye(d)
+    phase = kron(np.diag([1.0, -1j]), eye) if imag else np.eye(2 * d)
+    h_eye = kron(h, eye)
+    frame = (h_eye @ phase, h_eye, kron(PAULIS[3], eye))
+    for m in frame:
+        m.flags.writeable = False
+    return frame
+
+
 def hadamard_test_unchecked(rho: np.ndarray, u: np.ndarray, imag: bool = False) -> float:
     """hadamard_test on a d x d density matrix and a d x d unitary that the
     caller has already validated."""
     d = rho.shape[0]
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    eye = np.eye(d)
-    cu = np.block([[eye, np.zeros((d, d))], [np.zeros((d, d)), u]])
-    phase = kron(np.diag([1.0, -1j]), eye) if imag else np.eye(2 * d)
-    full = kron(h, eye) @ phase @ cu @ kron(h, eye)
+    left, h_eye, z_eye = _hadamard_frame(d, bool(imag))
+    cu = np.eye(2 * d, dtype=np.result_type(u, float))
+    cu[d:, d:] = u
+    full = left @ cu @ h_eye
     joint = np.zeros((2 * d, 2 * d), dtype=complex)
     joint[:d, :d] = rho
     out = full @ joint @ full.conj().T
-    return float(np.trace(kron(PAULIS[3], eye) @ out).real)
+    return float(np.trace(z_eye @ out).real)
 
 
 # ---------------------------------------------------------------------------

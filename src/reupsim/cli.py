@@ -26,7 +26,14 @@ from .states import (
     sample_bloch_ball,
     write_dataset,
 )
-from .trainer import TrainConfig, histogram_to_csv, random_model, report_to_json, train
+from .trainer import (
+    MAX_LAYERS,
+    TrainConfig,
+    histogram_to_csv,
+    random_model,
+    report_to_json,
+    train,
+)
 from .verify import CHECK_TOLERANCES, CHECKS, run_check
 
 PRESETS = (
@@ -64,6 +71,15 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _layer_count(text: str) -> int:
+    """argparse type of train --layers: an integer from 1 to MAX_LAYERS,
+    checked before the dataset is read or a layer is built."""
+    if not (text.isdecimal() and 1 <= int(text) <= MAX_LAYERS):
+        raise argparse.ArgumentTypeError(
+            f"expected an integer from 1 to {MAX_LAYERS}, got {text!r}")
+    return int(text)
+
+
 def _sig4(x) -> str:
     return f"{float(x):.4g}"
 
@@ -83,7 +99,7 @@ _Row = namedtuple("_Row", "name reference obtained criterion ok")
 
 def _print_rows(rows) -> int:
     width = max(len(r.name) for r in rows) + 2
-    cwidth = max(len(r.criterion) for r in rows) + 2
+    cwidth = max(len("criterion"), *(len(r.criterion) for r in rows)) + 2
     print(f"{'quantity':<{width}}{'reference':>10}{'obtained':>11}  "
           f"{'criterion':<{cwidth}}{'status'}")
     for r in rows:
@@ -247,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a fresh model on a JSONL dataset directory")
     p.add_argument("--dataset", required=True, help="directory with train.jsonl / test.jsonl")
-    p.add_argument("--layers", type=int, default=4)
+    p.add_argument("--layers", type=_layer_count, default=4)
     p.add_argument("--model-seed", type=_seed, default=MODEL_SEED)
     p.add_argument("--restricted", action="store_true",
                    help="CNOT couplings with trainable angles instead of general couplings")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, unitary_to_generator
+from .linalg import PAULIS, kron, unitary_to_generator
 from .states import PauliWord
 from .channel import (
     CouplingSpec,
@@ -54,7 +54,7 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-@dataclass
+@dataclass(slots=True)
 class MonomialSpec:
     """One monomial: coeff * prod_alpha lam_alpha ** exps[alpha]."""
 
@@ -84,7 +84,7 @@ class MonomialSpec:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class PolynomialSpec:
     """Target polynomial c0 + sum of monomials over lam_1 .. lam_{4^n - 1}."""
 
@@ -121,7 +121,7 @@ class PolynomialSpec:
         return self.c0 + sum(m.evaluate(lam) for m in self.monomials)
 
 
-@dataclass
+@dataclass(slots=True)
 class CompiledCircuit:
     """A model realizing a target polynomial.
 
@@ -508,14 +508,14 @@ def _fit_kick_family(poly: PolynomialSpec) -> CompiledCircuit:
         layers = [LayerSpec(float(np.arcsin(s1)), couplings[0]), LayerSpec(0.0, couplings[1])]
         norm3 = np.hypot(alpha, beta_eff)
         if norm3 > 0:
-            u3 = build_coupling(couplings[2], poly.n_qubits) @ np.kron(
+            u3 = build_coupling(couplings[2], poly.n_qubits) @ kron(
                 _su2((0.0, -beta_eff, alpha), np.arcsin(norm3)), np.eye(2**poly.n_qubits)
             )
             layers.append(LayerSpec(0.0, CouplingSpec.general(unitary_to_generator(u3))))
         else:
             layers.append(LayerSpec(0.0, couplings[2]))
         layers.append(LayerSpec(0.0, couplings[3]))
-        u5 = build_coupling(couplings[4], poly.n_qubits) @ np.kron(
+        u5 = build_coupling(couplings[4], poly.n_qubits) @ kron(
             _su2((0.0, 1.0, 0.0), gamma), np.eye(2**poly.n_qubits)
         )
         layers.append(LayerSpec(0.0, CouplingSpec.general(unitary_to_generator(u5))))

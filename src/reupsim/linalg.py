@@ -27,8 +27,17 @@ PAULIS = (
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first argument on the most significant axis."""
-    return np.kron(np.asarray(a), np.asarray(b))
+    """Kronecker product with the first argument on the most significant axis.
+
+    a (..., m, n) and b (..., p, q) give (..., m p, n q): matrices, or stacks
+    whose leading axes broadcast.  It is one broadcast product and a reshape:
+    numpy's own kron applies the same np.multiply to matrices, so the two
+    agree bit for bit.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    m, p, n, q = out.shape[-4:]
+    return out.reshape(*out.shape[:-4], m * p, n * q)
 
 
 def partial_trace(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
@@ -134,7 +143,7 @@ def letters_to_index(letters) -> int:
     return alpha
 
 
-@dataclass
+@dataclass(slots=True)
 class HermitianGenerator:
     """Hermitian operator on n qubits expanded in the Pauli-word basis.
 

@@ -69,7 +69,7 @@ def density_fault(stack: np.ndarray):
     return fault
 
 
-@dataclass
+@dataclass(slots=True)
 class DensityMatrix:
     """Validated density matrix on n_qubits qubits.
 
@@ -106,7 +106,7 @@ class DensityMatrix:
         return 2**self.n_qubits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PauliWord:
     """Multi-qubit Pauli word; letters[k] in 0..3 = I, X, Y, Z for qubit k."""
 
@@ -137,7 +137,7 @@ class PauliWord:
         return cls(index_to_letters(alpha, n_qubits))
 
 
-@dataclass
+@dataclass(slots=True)
 class PauliCoeffs:
     """Pauli expansion coefficients lam[..., alpha-1] = tr(rho W_alpha),
     alpha >= 1: shape (4**n - 1,) for one state, (N, 4**n - 1) for a stack."""
@@ -157,7 +157,7 @@ class PauliCoeffs:
             raise ValueError("Pauli coefficient exceeds 1 in magnitude")
 
 
-@dataclass
+@dataclass(slots=True)
 class LabeledState:
     state: DensityMatrix
     label: float

@@ -16,8 +16,10 @@ z-rotation, and to the General generators' coefficients through the
 analytic derivative of exp(iH), all of a step's General layers in one call;
 the readout (w, b) is differentiated directly.  On either path a full-batch
 epoch reuses the point of its recorded loss for the gradient, and evaluate
-runs on the samples.  Updates are Adam, and loss_history is one float64 array;
-gradient_fd is the central-difference oracle the tests compare against.
+runs on the samples.  Updates are Adam, and a step that leaves a parameter
+non-finite stops training with an error that names the epoch; loss_history is
+one float64 array; gradient_fd is the central-difference oracle the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -60,9 +62,16 @@ FD_STEP = 1e-6
 # sigmoid(LOGISTIC_SCALE * (f - CLASSIFICATION_THRESHOLD))
 CLASSIFICATION_THRESHOLD = 0.5
 LOGISTIC_SCALE = 10.0
+# Most layers `reupsim train --layers` builds.  A step on the samples keeps,
+# per layer and training state, the forward pass's (3, 3) linear part and
+# Bloch vector and the gradient's pulled-back readout vector: 15 float64,
+# 120 bytes, so 120 MB at this cap on the default 1,000 training states.  A
+# restricted model on the coefficient chain keeps a (4, L+1, L+1) stack
+# instead, 32 MB here.
+MAX_LAYERS = 1000
 
 
-@dataclass
+@dataclass(slots=True)
 class TrainConfig:
     """Knobs for train / evaluate.
 
@@ -94,7 +103,7 @@ class TrainConfig:
             raise ValueError("shots must be 0 (exact) or at least 3")
 
 
-@dataclass
+@dataclass(slots=True)
 class TrainReport:
     """loss_history has the loss before each epoch plus the final loss, as
     one float64 array."""
@@ -433,30 +442,37 @@ def train(model: ReuploadModel, train_set, test_set, config: TrainConfig = None)
     bs = config.batch_size if 0 < config.batch_size < n else n
 
     history = np.empty(config.max_epochs + 1)
-    for epoch in range(config.max_epochs + 1):
-        f, bloch, full_gradient = point(p)
-        # gradients use the exact outputs; shots only sample the reported loss
-        seen = _readout(bloch(), p[-4:-1], p[-1], config.shots, rng) if config.shots else f
-        history[epoch], dldf = _loss_terms(seen, y, config)
-        if not np.isfinite(history[epoch]):
-            raise RuntimeError(f"training loss became non-finite after {epoch} epochs")
-        if epoch == config.max_epochs:
-            break
-        order = rng.permutation(n) if bs < n else None
-        for start in range(0, n, bs):
-            if order is None:
-                # full batch: the recorded loss's point serves the gradient
-                if config.shots:
-                    dldf = _loss_terms(f, y, config)[1]
-                g = full_gradient(dldf)
-            else:
-                g = batch_gradient(p, order[start : start + bs])
-            steps += 1
-            m_adam = ADAM_BETA1 * m_adam + (1.0 - ADAM_BETA1) * g
-            v_adam = ADAM_BETA2 * v_adam + (1.0 - ADAM_BETA2) * g * g
-            m_hat = m_adam / (1.0 - ADAM_BETA1**steps)
-            v_hat = v_adam / (1.0 - ADAM_BETA2**steps)
-            p = p - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    # An overflow anywhere in an epoch ends in a non-finite loss or
+    # parameters, and the loop checks both and names the epoch, so numpy's
+    # own overflow warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.max_epochs + 1):
+            f, bloch, full_gradient = point(p)
+            # gradients use the exact outputs; shots only sample the reported loss
+            seen = _readout(bloch(), p[-4:-1], p[-1], config.shots, rng) if config.shots else f
+            history[epoch], dldf = _loss_terms(seen, y, config)
+            if not np.isfinite(history[epoch]):
+                raise RuntimeError(f"training loss became non-finite after {epoch} epochs")
+            if epoch == config.max_epochs:
+                break
+            order = rng.permutation(n) if bs < n else None
+            for start in range(0, n, bs):
+                if order is None:
+                    # full batch: the recorded loss's point serves the gradient
+                    if config.shots:
+                        dldf = _loss_terms(f, y, config)[1]
+                    g = full_gradient(dldf)
+                else:
+                    g = batch_gradient(p, order[start : start + bs])
+                steps += 1
+                m_adam = ADAM_BETA1 * m_adam + (1.0 - ADAM_BETA1) * g
+                v_adam = ADAM_BETA2 * v_adam + (1.0 - ADAM_BETA2) * g * g
+                m_hat = m_adam / (1.0 - ADAM_BETA1**steps)
+                v_hat = v_adam / (1.0 - ADAM_BETA2**steps)
+                p = p - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                if not np.isfinite(p).all():
+                    raise RuntimeError(f"parameters became non-finite in epoch {epoch + 1} "
+                                       f"(learning rate {config.learning_rate:g})")
 
     trained = unpack_params(work, p)
     metric, histogram = evaluate(trained, test_set, config)

@@ -171,7 +171,8 @@ def _purity_probes():
     """Two-copy states rho (x) rho and purities of 50 fixed Bloch-ball states."""
     rng = np.random.default_rng(714)
     probes = [sample_bloch_ball(rng) for _ in range(50)]
-    two_copy = np.array([kron(rho.matrix, rho.matrix) for rho in probes])
+    matrices = np.array([rho.matrix for rho in probes])
+    two_copy = kron(matrices, matrices)
     purities = np.array([purity(rho) for rho in probes])
     two_copy.flags.writeable = False
     purities.flags.writeable = False

@@ -26,6 +26,7 @@ from reupsim.channel import (
     CouplingSpec,
     LayerSpec,
     ReuploadModel,
+    _hadamard_frame,
     apply_layer,
     build_coupling,
     hadamard_test,
@@ -267,6 +268,13 @@ def test_hadamard_test_real_and_imag():
         val = np.trace(rho.matrix @ u)
         assert abs(hadamard_test(rho, u) - val.real) < 1e-10
         assert abs(hadamard_test(rho, u, imag=True) - val.imag) < 1e-10
+
+
+@pytest.mark.parametrize("imag", [False, True])
+def test_hadamard_frame_is_read_only(imag):
+    for m in _hadamard_frame(4, imag):
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 2.0
 
 
 def test_hadamard_test_rejects_non_unitary():

@@ -1,9 +1,12 @@
 import json
+import time
+import warnings
 
 import numpy as np
 import pytest
 
 from reupsim.cli import _Row, _print_rows, main
+from reupsim.trainer import MAX_LAYERS
 from reupsim.states import read_dataset
 
 
@@ -177,6 +180,33 @@ class TestTrain:
         assert f"learning_rate must be positive and finite, got {lr}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_adam_overflow_names_the_epoch(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(["gen-dataset", "--task", "purity", "--train-size", 50,
+             "--test-size", 10, "--seed", 0, "--out", ds])
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["train", "--dataset", ds, "--layers", 2, "--epochs", 3,
+                        "--lr", "1e308", "--out", tmp_path / "out"])
+        assert caught == []
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: parameters became non-finite in epoch 1 (learning rate 1e+308)\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("layers", ["100000000000", str(MAX_LAYERS + 1), "0", "-2", "x"])
+    def test_layer_count_is_bounded_before_allocating(self, tmp_path, capsys, layers):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--dataset", tmp_path / "ds", "--layers", layers,
+                 "--out", tmp_path / "out"])
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"reupsim train: error: argument --layers: expected an integer "
+                          f"from 1 to {MAX_LAYERS}, got '{layers}'"]
+
     def test_missing_dataset(self, tmp_path, capsys):
         code = run(["train", "--dataset", tmp_path / "nope", "--out", tmp_path / "out"])
         assert code == 2
@@ -247,6 +277,13 @@ class TestReproduce:
         rows = [_Row("good", 0.0, 0.0, "<= 1", True), _Row("bad", 0.0, 2.0, "<= 1", False)]
         assert _print_rows(rows) == 1
         assert "1/2 rows pass" in capsys.readouterr().out
+
+    def test_header_keeps_a_gap_before_status(self, capsys):
+        # criteria shorter than the word "criterion" must not shorten its column
+        _print_rows([_Row("purity L=1 accuracy", 0.51, 0.5, "<= 0.65", True)])
+        header, row = capsys.readouterr().out.splitlines()[:2]
+        assert "criterion  status" in header
+        assert header.index("status") == row.index("PASS")
 
     def test_unknown_preset_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

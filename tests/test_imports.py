@@ -1,5 +1,9 @@
+import ast
+import dataclasses
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -51,3 +55,30 @@ def test_distribution_is_named_reupsim():
     project = tomllib.loads(pyproject.read_text())["project"]
     assert project["name"] == "reupsim"
     assert project["scripts"] == {"reupsim": "reupsim.cli:main"}
+
+
+def test_package_takes_kronecker_products_from_linalg():
+    # linalg.kron is the one Kronecker kernel; tests keep np.kron as its oracle
+    package = Path(reupsim.__file__).resolve().parent
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "kron"
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                calls.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                calls += [f"{path.name}:{node.lineno}" for a in node.names if a.name == "kron"]
+    assert calls == []
+
+
+def test_package_dataclasses_keep_no_instance_dict():
+    # compiled circuits, models and dataset items are held by the thousand,
+    # so their records are slotted
+    dicts = []
+    for info in pkgutil.iter_modules(reupsim.__path__):
+        module = importlib.import_module("reupsim." + info.name)
+        for name, obj in vars(module).items():
+            if (dataclasses.is_dataclass(obj) and isinstance(obj, type)
+                    and obj.__module__ == module.__name__ and "__slots__" not in vars(obj)):
+                dicts.append(f"{info.name}.{name}")
+    assert dicts == []

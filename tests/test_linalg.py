@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from reupsim.linalg import (
     PAULIS,
@@ -46,6 +49,37 @@ def test_kron_associative():
     rng = np.random.default_rng(0)
     a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
     assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
+
+
+def _operands(draw, lead: tuple):
+    """A real or complex float64 array of shape lead + (1..4, 1..4), signed
+    zeros included."""
+    shape = lead + (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        return draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+    return draw(arrays(np.complex128, shape, elements=st.complex_numbers(
+        max_magnitude=1e3, allow_nan=False, allow_infinity=False)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kron_is_numpy_kron_bit_for_bit(data):
+    a = _operands(data.draw, ())
+    b = _operands(data.draw, ())
+    got, want = kron(a, b), np.kron(a, b)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data(), t=st.integers(1, 4), b_stacked=st.booleans())
+def test_kron_of_stacks_is_kron_of_their_items(data, t, b_stacked):
+    a = _operands(data.draw, (t,))
+    b = _operands(data.draw, (t,) if b_stacked else ())
+    got = kron(a, b)
+    assert got.shape == (t, a.shape[1] * b.shape[-2], a.shape[2] * b.shape[-1])
+    for k in range(t):
+        assert got[k].tobytes() == np.kron(a[k], b[k] if b_stacked else b).tobytes()
 
 
 def test_partial_trace_of_product_state():
