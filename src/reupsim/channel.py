@@ -41,7 +41,7 @@ from .linalg import (
     is_unitary,
     kron,
     partial_trace,
-    pauli_trace_matrix,
+    pauli_traces,
     pauli_word_basis,
 )
 from .states import (
@@ -174,7 +174,7 @@ def build_coupling(coupling: CouplingSpec, n_qubits: int) -> np.ndarray:
     if coupling.n_env != n_qubits:
         raise ValueError(f"coupling acts on {coupling.n_env} environment qubits, not {n_qubits}")
     if coupling.variant == "General":
-        return exp_i_hermitian(coupling.generator)
+        return exp_i_hermitian(coupling.generator.matrix())
     i, alpha = coupling.pauli_pair
     w = pauli_word_basis(n_qubits)[alpha]
     eye = np.eye(2**n_qubits)
@@ -217,7 +217,7 @@ def layer_transfer_tensor(layers, n_qubits: int) -> np.ndarray:
     through its layer unitary exp(iH) (Rz(theta) (x) I), which carries the
     rotation, and reads them off over the (n+1)-qubit Pauli words.  A
     sequence builds its General layers together: one stacked exp_i_hermitian,
-    one batched conjugation and one matmul with pauli_trace_matrix.
+    one batched conjugation and one pauli_traces.
     The output Bloch vector is t contracted with (1, r) and (1, lam), where
     lam are the Pauli coefficients of the uploaded state.
     """
@@ -251,8 +251,7 @@ def _general_tensors(layers, n_qubits: int) -> np.ndarray:
     # sigma_i (x) I for i = 1..3 are the words 4**n * i
     signal = pauli_word_basis(n_qubits + 1)[4**n_qubits :: 4**n_qubits]
     heis = u.conj().swapaxes(-1, -2)[:, None] @ signal @ u[:, None]
-    t = (heis.reshape(3 * len(layers), -1) @ pauli_trace_matrix(n_qubits + 1)).real
-    return t.reshape(len(layers), 3, 4, 4**n_qubits) / 2 ** (n_qubits + 1)
+    return pauli_traces(heis).real.reshape(len(layers), 3, 4, -1) / 2 ** (n_qubits + 1)
 
 
 def initial_bloch(which: str) -> np.ndarray:
@@ -301,6 +300,13 @@ def push_layer(t: np.ndarray, c: np.ndarray, variables) -> np.ndarray:
         up = lead + (slice(None),) * k
         r[up + (slice(1, None),)] += parts[k + 1][up + (slice(None, -1),)]
     return r
+
+
+def coefficient_grid(alphas):
+    """readout_chain's (variables, shape) for restricted layers reading lam at
+    alphas: each layer raises its variable's degree by one."""
+    variables = sorted(set(alphas))
+    return variables, [alphas.count(a) + 1 for a in variables]
 
 
 def readout_chain(model: ReuploadModel, variables, shape) -> np.ndarray:

@@ -30,6 +30,7 @@ from .channel import (
     ReuploadModel,
     affine_chain,
     build_coupling,
+    coefficient_grid,
     initial_bloch,
     layer_affine_map,  # noqa: F401  unused; bench/workloads.py PATCHES wraps it in traced runs
     layer_transfer_tensor,
@@ -340,11 +341,8 @@ def _target_tensor(poly: PolynomialSpec, variables, shape) -> np.ndarray:
 
 
 def _system_axes(poly: PolynomialSpec):
-    """Scheduled variables, ascending, and the coefficient shape: each
-    variable's degree runs up to its count in the schedule."""
-    var_seq = _schedule_variables(poly)
-    variables = sorted(set(var_seq))
-    return variables, [var_seq.count(v) + 1 for v in variables]
+    """The coefficient grid of the schedule's layers."""
+    return coefficient_grid(_schedule_variables(poly))
 
 
 def _coefficient_system(model: ReuploadModel, poly: PolynomialSpec):

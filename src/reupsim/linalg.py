@@ -1,6 +1,7 @@
 """Dense complex linear algebra kernel: Kronecker products, partial traces,
-the Pauli-word basis, Hermitian eigendecompositions, exp(iH) unitaries and
-their principal logarithms.
+the Pauli-word basis and the one transform between matrices and their
+Pauli coefficients (pauli_traces and its inverse pauli_sum), Hermitian
+eigendecompositions, exp(iH) unitaries and their principal logarithms.
 
 Everything works on plain complex128 ndarrays with numpy alone.  Matrices
 are small (the simulator never exceeds a handful of qubits) so dense
@@ -111,18 +112,33 @@ def pauli_word_basis(n_qubits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def pauli_trace_matrix(n_qubits: int) -> np.ndarray:
-    """Read-only (4**n * 4**n, 4**n) matrix X with a.reshape(-1) @ X the
-    traces tr[a W_alpha] of a 2**n x 2**n matrix a, for every word alpha.
-
-    Its columns are the conjugated, flattened words: tr[a W] = vec(a) .
-    vec(W^T), and W^T is the conjugate of W because W is Hermitian.  So one
-    matmul reads a whole stack of matrices off over the words.
-    """
+def _pauli_trace_matrix(n_qubits: int) -> np.ndarray:
+    """Read-only (4**n * 4**n, 4**n) matrix of the conjugated, flattened
+    words: tr[a W] = vec(a) . vec(W^T), and W^T = conj(W) as W is Hermitian."""
     words = pauli_word_basis(n_qubits)
     x = np.ascontiguousarray(words.reshape(len(words), -1).conj().T)
     x.flags.writeable = False
     return x
+
+
+def pauli_traces(m) -> np.ndarray:
+    """tr[m W_alpha] for every word alpha, (..., 4**n), of a 2**n x 2**n
+    matrix or a (..., 2**n, 2**n) stack: 2**n times its Pauli coefficients."""
+    m = np.asarray(m)
+    n = _int_log2(m.shape[-1])
+    traces = m.reshape(-1, m.shape[-1] ** 2) @ _pauli_trace_matrix(n)
+    return traces.reshape(*m.shape[:-2], 4**n)
+
+
+def pauli_sum(c) -> np.ndarray:
+    """sum_alpha c[..., alpha] W_alpha, (..., 2**n, 2**n), of (..., 4**n)
+    Pauli coefficients: the inverse of pauli_traces up to the factor 2**n."""
+    c = np.asarray(c)
+    words = pauli_word_basis(_int_log2(c.shape[-1]) // 2)
+    if len(words) != c.shape[-1]:
+        raise ValueError(f"{c.shape[-1]} coefficients is not a power of four")
+    out = c.reshape(-1, len(words)) @ words.reshape(len(words), -1)
+    return out.reshape(*c.shape[:-1], *words.shape[1:])
 
 
 def index_to_letters(alpha: int, n_qubits: int) -> tuple[int, ...]:
@@ -170,8 +186,7 @@ class HermitianGenerator:
         return 2**self.n_qubits
 
     def matrix(self) -> np.ndarray:
-        words = pauli_word_basis(self.n_qubits)
-        return np.einsum("a,aij->ij", self.coeffs, words[1:])
+        return generator_matrices([self])[0]
 
     @classmethod
     def from_matrix(cls, h: np.ndarray) -> "HermitianGenerator":
@@ -179,29 +194,21 @@ class HermitianGenerator:
         h = np.asarray(h, dtype=complex)
         if not is_hermitian(h):
             raise ValueError("matrix is not Hermitian within 1e-12")
-        n = _int_log2(h.shape[0])
-        words = pauli_word_basis(n)
-        coeffs = np.einsum("aij,ji->a", words[1:], h).real / h.shape[0]
-        return cls(n, coeffs)
+        return cls(_int_log2(h.shape[0]), pauli_traces(h)[1:].real / h.shape[0])
 
 
 def generator_matrices(generators) -> np.ndarray:
     """The (G, d, d) stack of the matrices of HermitianGenerators on one
-    qubit count, from one product of their coefficients with the word basis."""
-    n = generators[0].n_qubits
-    words = pauli_word_basis(n)
+    qubit count, from one pauli_sum with a zero identity coefficient."""
     coeffs = np.stack([g.coeffs for g in generators])
-    return (coeffs @ words[1:].reshape(len(words) - 1, -1)).reshape(-1, 2**n, 2**n)
+    return pauli_sum(np.pad(coeffs, ((0, 0), (1, 0))))
 
 
 def exp_i_hermitian(h) -> np.ndarray:
-    """exp(i*H) for a Hermitian matrix, a (..., d, d) stack of them, or a
-    HermitianGenerator, via eig.
+    """exp(i*H) for a Hermitian matrix or a (..., d, d) stack of them, via eig.
 
     exp(iH) = sum_k exp(i vals_k) |v_k><v_k|; the result is unitary to 1e-10.
     """
-    if isinstance(h, HermitianGenerator):
-        h = h.matrix()
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h):
         raise ValueError("generator is not Hermitian within 1e-12")

@@ -15,7 +15,7 @@ from .linalg import (
     _int_log2,
     index_to_letters,
     letters_to_index,
-    pauli_word_basis,
+    pauli_traces,
     swap_permutation,
 )
 
@@ -169,8 +169,7 @@ def pauli_coeffs(rho) -> PauliCoeffs:
     DensityMatrix, or of every matrix of an (N, d, d) stack of them."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else rho
     n = _int_log2(m.shape[-1])
-    lam = np.einsum("aij,...ji->...a", pauli_word_basis(n)[1:], m).real
-    return PauliCoeffs(n, lam)
+    return PauliCoeffs(n, pauli_traces(m)[..., 1:].real)
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -33,7 +33,8 @@ from .linalg import (
     HermitianGenerator,
     fd_jacobian,
     generator_matrices,
-    pauli_trace_matrix,
+    pauli_sum,
+    pauli_traces,
     pauli_word_basis,
 )
 from .channel import (
@@ -41,6 +42,7 @@ from .channel import (
     LayerSpec,
     ReuploadModel,
     affine_chain,
+    coefficient_grid,
     initial_bloch,
     layer_transfer_tensor,
     model_from_json,
@@ -69,6 +71,8 @@ LOGISTIC_SCALE = 10.0
 # restricted model on the coefficient chain keeps a (4, L+1, L+1) stack
 # instead, 32 MB here.
 MAX_LAYERS = 1000
+# each readout axis draws shots // 3 from Generator.binomial, whose counts are int64
+MAX_SHOTS = 3 * (2**63 - 1) + 2
 
 
 @dataclass(slots=True)
@@ -99,8 +103,8 @@ class TrainConfig:
             raise ValueError("max_epochs must be at least 1")
         if self.batch_size < 0:
             raise ValueError("batch_size must be 0 (full batch) or positive")
-        if self.shots != 0 and self.shots < 3:
-            raise ValueError("shots must be 0 (exact) or at least 3")
+        if self.shots != 0 and not 3 <= self.shots <= MAX_SHOTS:
+            raise ValueError(f"shots must be 0 (exact) or from 3 to {MAX_SHOTS}, got {self.shots}")
 
 
 @dataclass(slots=True)
@@ -272,16 +276,15 @@ def _generator_gradient(generators, g: np.ndarray) -> np.ndarray:
     for H = V diag(lam) V^dag, with Phi the symmetric matrix of divided
     differences of exp(i .) (Daleckii-Krein), so dloss/dc_k =
     Re tr(P_k Q) / d with Q = V (Phi o V^dag M V) V^dag.  One stacked eigh
-    serves every generator; the sums over the words are matmuls with the
-    flattened word basis and with pauli_trace_matrix.
+    serves every generator; the sums over the words are one pauli_sum and
+    one pauli_traces.
     """
     n_qubits = generators[0].n_qubits - 1
     words = pauli_word_basis(n_qubits + 1)
     vals, vecs = np.linalg.eigh(generator_matrices(generators))
     vecs_dag = vecs.conj().swapaxes(-1, -2)
     u_dag = vecs @ (np.exp(-1j * vals)[..., None] * vecs_dag)
-    b = (g.reshape(-1, len(words)) @ words.reshape(len(words), -1)).reshape(
-        len(generators), 3, *words.shape[1:])
+    b = pauli_sum(g)
     # sigma_i (x) I for i = 1..3 are the words 4**n * i
     m = np.sum(b @ u_dag[:, None] @ words[4**n_qubits :: 4**n_qubits], axis=1)
     m_eig = vecs_dag @ m @ vecs
@@ -289,8 +292,7 @@ def _generator_gradient(generators, g: np.ndarray) -> np.ndarray:
     gap = vals[:, :, None] - vals[:, None, :]
     phi = 1j * np.exp(0.5j * (vals[:, :, None] + vals[:, None, :])) * np.sinc(gap / (2 * np.pi))
     q = vecs @ (phi * m_eig) @ vecs_dag
-    traces = q.reshape(len(generators), -1) @ pauli_trace_matrix(n_qubits + 1)[:, 1:]
-    return traces.real / 2**n_qubits
+    return pauli_traces(q)[:, 1:].real / 2**n_qubits
 
 
 def _loss_gradient(model: ReuploadModel, lam, forward, dldf: np.ndarray) -> np.ndarray:
@@ -349,14 +351,11 @@ def _batch_gradient(model: ReuploadModel, lam, y, config: TrainConfig) -> np.nda
 # training loop
 
 def _coefficient_axes(model: ReuploadModel):
-    """Variables and coefficient shape of a restricted model's readout
-    polynomial: each layer raises its lam_alpha's degree by one.  None when
-    a layer is General."""
+    """The coefficient grid of a restricted model's readout polynomial, or
+    None when a layer is General."""
     if any(layer.coupling.variant == "General" for layer in model.layers):
         return None
-    alphas = [layer.coupling.pauli_pair[1] for layer in model.layers]
-    variables = sorted(set(alphas))
-    return variables, [alphas.count(a) + 1 for a in variables]
+    return coefficient_grid([layer.coupling.pauli_pair[1] for layer in model.layers])
 
 
 def _monomials(lam: np.ndarray, variables, shape) -> np.ndarray:
@@ -516,21 +515,11 @@ def prediction_histogram(dataset, f: np.ndarray) -> list:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, HISTOGRAM_BINS + 1)
     pred = np.asarray(f) >= CLASSIFICATION_THRESHOLD
-    rows = []
-    for k in range(HISTOGRAM_BINS):
-        if k < HISTOGRAM_BINS - 1:
-            in_bin = (x >= edges[k]) & (x < edges[k + 1])
-        else:
-            in_bin = (x >= edges[k]) & (x <= edges[k + 1])
-        rows.append(
-            (
-                float(edges[k]),
-                float(edges[k + 1]),
-                int(np.sum(in_bin & ~pred)),
-                int(np.sum(in_bin & pred)),
-            )
-        )
-    return rows
+    # array bins are half-open, the last one closed
+    c0, _ = np.histogram(x[~pred], edges)
+    c1, _ = np.histogram(x[pred], edges)
+    return [(float(a), float(b), int(n0), int(n1))
+            for a, b, n0, n1 in zip(edges[:-1], edges[1:], c0, c1)]
 
 
 def random_model(n_qubits: int, n_layers: int, seed: int = 0,

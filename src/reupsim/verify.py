@@ -20,8 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import (
-    exp_i_hermitian, haar_from_ginibre, is_hermitian, is_unitary, kron, pauli_word_basis,
-    swap_permutation,
+    exp_i_hermitian, haar_from_ginibre, is_hermitian, is_unitary, kron, pauli_sum,
+    pauli_traces, pauli_word_basis, swap_permutation,
 )
 from .states import DensityMatrix, PauliWord, bloch_vector, purity, sample_bloch_ball
 from .channel import CouplingSpec, LayerSpec, apply_layer, hadamard_test_unchecked, rz_bloch
@@ -43,10 +43,7 @@ CHECK_TOLERANCES = {
 # observation1 stack raises the process's peak memory by a few MB.
 TRIAL_BLOCK = 125
 
-_WORDS = pauli_word_basis(2)
-_PAULI_PAIRS = _WORDS.reshape(4, 4, 4, 4)[1:, 1:]  # [i-1, j-1]: sigma_i (x) sigma_j
-_SIGNAL_PAULIS = _WORDS[4::4]  # sigma_i (x) I, i = 1..3
-_SAME_INDEX_PAIRS = _WORDS[5::5]  # sigma_a (x) sigma_a, a = 1..3
+_SIGNAL_PAULIS = pauli_word_basis(2)[4::4]  # sigma_i (x) I, i = 1..3
 _SIGMA = pauli_word_basis(1)[1:]
 
 
@@ -82,7 +79,8 @@ def corr(m, first: int = 0) -> np.ndarray:
     """corr(M)_ij = tr(M (sigma_i x sigma_j)) / 2 of a 4x4 Hermitian M, or
     of each matrix of a (T, ..., 4, 4) stack: real (..., 3, 3)."""
     m = _matrices(m, (4, 4), "corr input", first)
-    out = 0.5 * np.einsum("...ab,ijba->...ij", m, _PAULI_PAIRS)
+    # word 4 i + j is sigma_i (x) sigma_j
+    out = 0.5 * pauli_traces(m).reshape(*m.shape[:-2], 4, 4)[..., 1:, 1:]
     _require(_within(CORR_IMAG_ATOL), out.imag, 2, ValueError,
              "corr entries are not real; input is not Hermitian", first)
     return out.real
@@ -138,8 +136,8 @@ def observation1_certificate(u, v, o, first: int = 0):
     # Pauli transfer and the conjugated observable
     c = corr(_o_x_i_sandwich(v, o), first)
     lam_sig = np.einsum("...kab,mbc,...kdc->...mad", kraus, _SIGMA, kraus.conj())
-    ctilde = 0.5 * np.einsum("mab,...iba->...mi", _SIGMA, lam_sig).real
-    _require(_within(DECOMP_ATOL), t - ctilde.swapaxes(-1, -2) @ c, 2, RuntimeError,
+    ctilde = 0.5 * pauli_traces(lam_sig)[..., 1:].real  # [..., i, m]: tr(sigma_m lam_sig[..., i]) / 2
+    _require(_within(DECOMP_ATOL), t - ctilde @ c, 2, RuntimeError,
              "correlation decomposition check failed", first)
     return t, np.linalg.det(t)
 
@@ -209,7 +207,9 @@ def ksigma_corr(k, first: int = 0) -> np.ndarray:
     if k.shape[-1:] != (3,):
         raise ValueError(f"k must be a real 3-vector or a stack of them, got {k.shape}")
     _require(_all_finite, k, 1, ValueError, "k is not finite", first)
-    w = exp_i_hermitian(np.einsum("...a,aij->...ij", k, _SAME_INDEX_PAIRS))
+    c = np.zeros((*k.shape[:-1], 16))
+    c[..., 5::5] = k  # sigma_a (x) sigma_a is the word 5 a
+    w = exp_i_hermitian(pauli_sum(c))
     profiles = np.einsum("...ba,ibc,...cd->...iad", w.conj(), _SIGNAL_PAULIS, w)
     # a single k's three profiles are one trial, not a stack of three
     return corr(profiles, first) if k.ndim > 1 else corr(profiles[None], first)[0]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from reupsim.cli import _Row, _print_rows, main
-from reupsim.trainer import MAX_LAYERS
+from reupsim.trainer import MAX_LAYERS, MAX_SHOTS
 from reupsim.states import read_dataset
 
 
@@ -193,6 +193,19 @@ class TestTrain:
         assert code == 1
         assert capsys.readouterr().err == (
             "error: parameters became non-finite in epoch 1 (learning rate 1e+308)\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("shots", [10**20, MAX_SHOTS + 1])
+    def test_shot_count_beyond_int64_is_usage_error(self, tmp_path, capsys, shots):
+        ds = tmp_path / "ds"
+        run(["gen-dataset", "--task", "band", "--train-size", 3,
+             "--test-size", 2, "--seed", 0, "--out", ds])
+        args = ["train", "--dataset", ds, "--layers", 2, "--epochs", 2, "--shots"]
+        assert run(args + [MAX_SHOTS, "--out", tmp_path / "largest"]) == 0
+        capsys.readouterr()
+        assert run(args + [shots, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: shots must be 0 (exact) or from 3 to {MAX_SHOTS}, got {shots}\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("layers", ["100000000000", str(MAX_LAYERS + 1), "0", "-2", "x"])

@@ -285,7 +285,7 @@ def _mixed_layers(n: int, seed: int) -> list:
 def _general_tensor_by_einsum(layer: LayerSpec, n: int) -> np.ndarray:
     """A General layer's tensor one layer at a time, by the trace formula."""
     words = pauli_word_basis(n + 1)
-    c = exp_i_hermitian(layer.coupling.generator)
+    c = exp_i_hermitian(np.einsum("a,aij->ij", layer.coupling.generator.coeffs, words[1:]))
     heis = c.conj().T @ words[4**n :: 4**n] @ c
     t = (np.einsum("iab,mba->im", heis, words).real / 2 ** (n + 1)).reshape(3, 4, 4**n)
     t[:, 1:] = np.einsum("ika,kj->ija", t[:, 1:], rz_bloch(layer.theta))

@@ -16,10 +16,13 @@ from reupsim.linalg import (
     kron,
     letters_to_index,
     partial_trace,
+    pauli_sum,
+    pauli_traces,
     pauli_word_basis,
     swap_permutation,
     unitary_to_generator,
 )
+from reupsim.states import DensityMatrix, pauli_coeffs
 
 RNG = np.random.default_rng(11)
 
@@ -142,6 +145,49 @@ def test_pauli_word_basis_matches_explicit_kron():
     for alpha in range(16):
         a, b = index_to_letters(alpha, 2)
         assert np.array_equal(words[alpha], np.kron(PAULIS[a], PAULIS[b]))
+
+
+STACKS = st.sampled_from([(), (1,), (3,), (2, 3)])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), stack=STACKS, seed=st.integers(0, 2**32 - 1))
+def test_pauli_traces_are_per_word_traces(n, stack, seed):
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    m = rng.normal(size=(*stack, d, d)) + 1j * rng.normal(size=(*stack, d, d))
+    got = pauli_traces(m)
+    assert got.shape == (*stack, 4**n)
+    words = pauli_word_basis(n)
+    for idx in np.ndindex(*stack):
+        want = [np.trace(m[idx] @ w) for w in words]
+        np.testing.assert_allclose(got[idx], want, rtol=0, atol=1e-12)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), stack=STACKS, seed=st.integers(0, 2**32 - 1))
+def test_pauli_traces_invert_pauli_sum(n, stack, seed):
+    c = np.random.default_rng(seed).normal(size=(*stack, 4**n))
+    m = pauli_sum(c)
+    assert m.shape == (*stack, 2**n, 2**n)
+    np.testing.assert_allclose(pauli_traces(m), 2**n * c, rtol=0, atol=1e-12)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(stack=st.sampled_from([(), (1,), (5,)]), seed=st.integers(0, 2**32 - 1))
+def test_single_qubit_pauli_coeffs_are_the_einsum_bit_for_bit(stack, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(*stack, 2, 2)) + 1j * rng.normal(size=(*stack, 2, 2))
+    rho = g @ g.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+    want = np.einsum("aij,...ji->...a", pauli_word_basis(1)[1:], rho).real
+    got = pauli_coeffs(DensityMatrix(rho) if rho.ndim == 2 else rho).lam
+    assert np.array_equal(got, want)
+
+
+def test_pauli_sum_rejects_a_count_that_is_not_a_power_of_four():
+    with pytest.raises(ValueError, match="8 coefficients is not a power of four"):
+        pauli_sum(np.zeros(8))
 
 
 def test_hermitian_generator_matrix_and_projection():

@@ -438,6 +438,28 @@ class TestEvaluate:
         lows = [row[0] for row in hist]
         assert lows == sorted(lows)
 
+    @pytest.mark.parametrize("x", [np.linspace(-0.5, 2.5, 31), np.full(7, 0.25)],
+                             ids=["on-every-edge", "constant"])
+    def test_histogram_bins_half_open_last_closed(self, x):
+        items = [LabeledState(psi_t(0.5), 0.0, {"purity": float(v)}) for v in x]
+        f = np.arange(len(x)) % 2 * 1.0
+        hist = prediction_histogram(items, f)
+        # the 30 bins one mask each: half-open, the last one closed
+        hi = x.max() if x.max() > x.min() else x.min() + 1.0
+        edges = np.linspace(x.min(), hi, 31)
+        pred = f >= 0.5
+        expected = []
+        for k in range(30):
+            below = x <= edges[k + 1] if k == 29 else x < edges[k + 1]
+            in_bin = (x >= edges[k]) & below
+            expected.append((float(edges[k]), float(edges[k + 1]),
+                             int(np.sum(in_bin & ~pred)), int(np.sum(in_bin & pred))))
+        assert hist == expected
+        assert all(type(v) is float for row in hist for v in row[:2])
+        assert all(type(v) is int for row in hist for v in row[2:])
+        counts = [c0 + c1 for _, _, c0, c1 in hist]
+        assert counts == ([1] * 29 + [2] if len(x) == 31 else [7] + [0] * 29)
+
     def test_perfect_classifier_splits_bins(self):
         items = [LabeledState(psi_t(0.5), float(x >= 0), {"r3": x})
                  for x in np.linspace(-1, 1, 50)]
