@@ -36,6 +36,7 @@ import numpy as np
 from .linalg import (
     PAULIS,
     HermitianGenerator,
+    _int_log2,
     exp_i_hermitian,
     generator_matrices,
     is_unitary,
@@ -198,10 +199,16 @@ def apply_layer(tau: DensityMatrix, rho: DensityMatrix, layer: LayerSpec) -> Den
     """Send the signal state tau through one layer fed with input rho."""
     if tau.n_qubits != 1:
         raise ValueError("signal must be a single qubit")
-    u = layer_unitary(layer, rho.n_qubits)
-    joint = u @ kron(tau.matrix, rho.matrix) @ u.conj().T
-    out = partial_trace(joint, 2, rho.dim)
-    return DensityMatrix(out, 1)
+    return DensityMatrix(apply_layer_unchecked(tau.matrix, rho.matrix, layer), 1)
+
+
+def apply_layer_unchecked(tau: np.ndarray, rho: np.ndarray, layer: LayerSpec) -> np.ndarray:
+    """apply_layer on a 2x2 signal matrix and a d x d input matrix that the
+    caller has already validated; the 2x2 output is not checked either."""
+    d = rho.shape[0]
+    u = layer_unitary(layer, _int_log2(d))
+    joint = u @ kron(tau, rho) @ u.conj().T
+    return partial_trace(joint, 2, d)
 
 
 def layer_transfer_tensor(layers, n_qubits: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from .channel import hadamard_test, run_model
 from .linalg import haar_unitary
 from .states import (
     DATASET_TASKS,
+    MAX_SPLIT_SIZE,
     LabeledState,
     generate_dataset,
     read_dataset,
@@ -27,6 +28,7 @@ from .states import (
     write_dataset,
 )
 from .trainer import (
+    MAX_EPOCHS,
     MAX_LAYERS,
     TrainConfig,
     histogram_to_csv,
@@ -78,6 +80,20 @@ def _layer_count(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"expected an integer from 1 to {MAX_LAYERS}, got {text!r}")
     return int(text)
+
+
+def _at_most(cap: int):
+    """argparse type of a size option: an integer no larger than cap,
+    checked before anything is sized by it.  The command checks the lower
+    bound itself."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"expected an integer of at most {cap}, got {text!r}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type of text that is no integer
+    return parse
 
 
 def _sig4(x) -> str:
@@ -255,8 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-dataset", help="sample a labeled dataset and write JSONL files")
     p.add_argument("--task", required=True, choices=DATASET_TASKS)
-    p.add_argument("--train-size", type=int, default=1000)
-    p.add_argument("--test-size", type=int, default=500)
+    p.add_argument("--train-size", type=_at_most(MAX_SPLIT_SIZE), default=1000)
+    p.add_argument("--test-size", type=_at_most(MAX_SPLIT_SIZE), default=500)
     p.add_argument("--seed", type=_seed, default=DATASET_SEED)
     p.add_argument("--out", required=True, help="output directory for train.jsonl / test.jsonl")
     p.set_defaults(func=cmd_gen_dataset)
@@ -268,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restricted", action="store_true",
                    help="CNOT couplings with trainable angles instead of general couplings")
     p.add_argument("--loss", choices=("mse", "logistic"), default="logistic")
-    p.add_argument("--epochs", type=int, default=300)
+    p.add_argument("--epochs", type=_at_most(MAX_EPOCHS), default=300)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--batch-size", type=int, default=0)
     p.add_argument("--shots", type=int, default=0)

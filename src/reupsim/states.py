@@ -33,6 +33,11 @@ BAND_EDGE = 0.5
 DATASET_TASKS = ("purity", "entropy", "band", "double-band", "psi-grid")
 # meta scalars a prediction histogram can bin over, first match wins
 META_KEYS = ("purity", "entropy", "r3", "lambda")
+# Most states `reupsim gen-dataset` samples per split.  A two-qubit state
+# takes about 1.6 KB while it is sampled and written (its stack entry, its
+# LabeledState and meta, its JSON line; tracemalloc on entropy splits), so
+# a split at this cap takes about 160 MB.
+MAX_SPLIT_SIZE = 100_000
 
 
 def density_fault(stack: np.ndarray):
@@ -223,10 +228,15 @@ def sample_bloch_ball(rng: np.random.Generator) -> DensityMatrix:
     uniform variate, so tr(rho^2) >= PURITY_LABEL_THRESHOLD has probability
     exactly one half.
     """
+    return DensityMatrix(bloch_ball_matrix(rng), 1)
+
+
+def bloch_ball_matrix(rng: np.random.Generator) -> np.ndarray:
+    """The 2x2 matrix of sample_bloch_ball's state, from the same draws,
+    for a caller that validates its states itself."""
     v = rng.normal(size=3)
     v /= np.linalg.norm(v)
-    r = np.cbrt(rng.uniform()) * v
-    return density_from_bloch(r)
+    return _bloch_matrices(np.cbrt(rng.uniform()) * v)
 
 
 def density_from_bloch(r) -> DensityMatrix:
@@ -240,11 +250,12 @@ def _bloch_matrices(r) -> np.ndarray:
             + r[..., 2, :, :] * PAULIS[3]) / 2
 
 
-def bloch_vector(rho: DensityMatrix) -> np.ndarray:
-    """(tr(rho X), tr(rho Y), tr(rho Z)) of a single-qubit state."""
-    if rho.n_qubits != 1:
+def bloch_vector(rho) -> np.ndarray:
+    """(tr(rho X), tr(rho Y), tr(rho Z)) of a single-qubit state, a
+    DensityMatrix or its 2x2 matrix."""
+    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    if m.shape != (2, 2):
         raise ValueError("bloch_vector expects a single-qubit state")
-    m = rho.matrix
     return np.array(
         [2 * m[1, 0].real, 2 * m[1, 0].imag, (m[0, 0] - m[1, 1]).real]
     )

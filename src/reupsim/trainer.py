@@ -25,6 +25,7 @@ compare against.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,10 @@ LOGISTIC_SCALE = 10.0
 # restricted model on the coefficient chain keeps a (4, L+1, L+1) stack
 # instead, 32 MB here.
 MAX_LAYERS = 1000
+# Most epochs `reupsim train --epochs` runs.  Each epoch keeps one float64
+# loss, and the report writes it as a Python float and a JSON number: about
+# 150 bytes an epoch under tracemalloc, so about 150 MB at this cap.
+MAX_EPOCHS = 1_000_000
 # each readout axis draws shots // 3 from Generator.binomial, whose counts are int64
 MAX_SHOTS = 3 * (2**63 - 1) + 2
 
@@ -511,6 +516,9 @@ def prediction_histogram(dataset, f: np.ndarray) -> list:
         raise ValueError(f"dataset item {missing} has no {key!r} in its meta, as item 0 has")
     x = np.array([item.meta[key] for item in dataset], dtype=float)
     lo, hi = float(np.min(x)), float(np.max(x))
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"{key!r} meta spans [{lo:g}, {hi:g}], too wide for "
+                         f"histogram edges in float64")
     if hi <= lo:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, HISTOGRAM_BINS + 1)

@@ -23,8 +23,18 @@ from .linalg import (
     exp_i_hermitian, haar_from_ginibre, is_hermitian, is_unitary, kron, pauli_sum,
     pauli_traces, pauli_word_basis, swap_permutation,
 )
-from .states import DensityMatrix, PauliWord, bloch_vector, purity, sample_bloch_ball
-from .channel import CouplingSpec, LayerSpec, apply_layer, hadamard_test_unchecked, rz_bloch
+from .states import (
+    DensityMatrix, PauliWord, bloch_ball_matrix, bloch_vector, density_fault, purity,
+    sample_bloch_ball,
+)
+from .channel import (
+    CouplingSpec,
+    LayerSpec,
+    apply_layer,  # noqa: F401  unused; bench/workloads.py PATCHES wraps it in traced runs
+    apply_layer_unchecked,
+    hadamard_test_unchecked,
+    rz_bloch,
+)
 
 CORR_IMAG_ATOL = 1e-10
 DECOMP_ATOL = 1e-10
@@ -218,11 +228,27 @@ def ksigma_corr(k, first: int = 0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # check registry
 
-def _random_density(n_qubits: int, rng) -> DensityMatrix:
+def _random_density(n_qubits: int, rng) -> np.ndarray:
+    """Matrix of a random n-qubit state, g g^dag / tr(g g^dag) for a complex
+    Ginibre g; the caller validates it."""
     d = 2**n_qubits
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real, n_qubits)
+    return m / np.trace(m).real
+
+
+def _require_states(first: int, *named_stacks) -> None:
+    """Raise ValueError naming the first trial, numbered from first, whose
+    state in one of the (name, (N, d, d) stack) pairs is not a density
+    matrix; within a trial the stacks are checked in the order given."""
+    faults = []
+    for name, stack in named_stacks:
+        fault = density_fault(stack)
+        if fault is not None:
+            faults.append((fault[0], name, fault[1]))
+    if faults:
+        k, name, reason = min(faults, key=lambda fault: fault[0])
+        raise ValueError(f"trial {first + k}: {name}: {reason}")
 
 
 def _report(name: str, violations) -> dict:
@@ -247,22 +273,36 @@ def _blockwise(violations, trials: int) -> np.ndarray:
 def evolution_formula_check(trials: int = 200, seed: int = 0) -> dict:
     """Single layer with a Pauli-word coupling: the rotated signal keeps its
     x component and has y, z scaled by the uploaded state's coefficient.
+
+    A trial's n decides its draws, so the trials draw and run one at a time
+    on plain matrices; each block's rho, tau and layer-output stacks are
+    then validated with one density_fault apiece.
     """
     rng = np.random.default_rng(seed)
-    violations = []
-    for _ in range(trials):
-        n = int(rng.integers(1, 3))
-        alpha = int(rng.integers(1, 4**n))
-        theta = float(rng.uniform(-np.pi, np.pi))
-        rho = _random_density(n, rng)
-        tau = sample_bloch_ball(rng)
-        layer = LayerSpec(theta, CouplingSpec.cu_alpha(PauliWord.from_index(alpha, n)))
-        out = bloch_vector(apply_layer(tau, rho, layer))
-        lam = float(np.trace(rho.matrix @ pauli_word_basis(n)[alpha]).real)
-        tilted = rz_bloch(theta) @ bloch_vector(tau)
-        want = np.array([tilted[0], lam * tilted[1], lam * tilted[2]])
-        violations.append(np.max(np.abs(out - want)))
-    return _report("evolution-formula", violations)
+
+    def violations(count, first):
+        # a one-qubit rho sits zero-padded in its 4x4 slot, which keeps
+        # every property density_fault checks
+        rhos = np.zeros((count, 4, 4), dtype=complex)
+        taus, outs = np.empty((2, count, 2, 2), dtype=complex)
+        v = np.empty(count)
+        for t in range(count):
+            n = int(rng.integers(1, 3))
+            alpha = int(rng.integers(1, 4**n))
+            theta = float(rng.uniform(-np.pi, np.pi))
+            rho = _random_density(n, rng)
+            tau = bloch_ball_matrix(rng)
+            layer = LayerSpec(theta, CouplingSpec.cu_alpha(PauliWord.from_index(alpha, n)))
+            out = apply_layer_unchecked(tau, rho, layer)
+            lam = float(np.trace(rho @ pauli_word_basis(n)[alpha]).real)
+            tilted = rz_bloch(theta) @ bloch_vector(tau)
+            want = np.array([tilted[0], lam * tilted[1], lam * tilted[2]])
+            v[t] = np.max(np.abs(bloch_vector(out) - want))
+            rhos[t, :2**n, :2**n], taus[t], outs[t] = rho, tau, out
+        _require_states(first, ("rho", rhos), ("tau", taus), ("layer output", outs))
+        return v
+
+    return _report("evolution-formula", _blockwise(violations, trials))
 
 
 def _observation1_draws(rng, n: int):
@@ -328,7 +368,7 @@ def swap_test_check(trials: int = 100, seed: int = 0) -> dict:
     violations = []
     for _ in range(trials):
         n = int(rng.integers(1, 3))
-        rho = _random_density(n, rng)
+        rho = DensityMatrix(_random_density(n, rng), n)
         violations.append(abs(swap_test_purity(rho) - purity(rho)))
     return _report("swap-test", violations)
 

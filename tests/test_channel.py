@@ -28,6 +28,7 @@ from reupsim.channel import (
     ReuploadModel,
     _hadamard_frame,
     apply_layer,
+    apply_layer_unchecked,
     build_coupling,
     hadamard_test,
     layer_affine_map,
@@ -87,6 +88,15 @@ def test_layer_is_cptp():
     tau = sample_bloch_ball(rng)
     out = apply_layer(tau, rho, layer)  # constructor revalidates the state
     assert abs(np.trace(out.matrix).real - 1.0) < 1e-12
+
+
+def test_unchecked_layer_is_the_checked_one():
+    rng = np.random.default_rng(4)
+    for n in (1, 2):
+        layer = random_general_layer(rng, n_env=n, theta=0.7)
+        rho, tau = sample_haar_pure(n, rng), sample_bloch_ball(rng)
+        out = apply_layer_unchecked(tau.matrix, rho.matrix, layer)
+        assert out.tobytes() == apply_layer(tau, rho, layer).matrix.tobytes()
 
 
 def test_cnot_layer_bloch_action():

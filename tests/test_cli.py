@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from reupsim.cli import _Row, _print_rows, main
-from reupsim.trainer import MAX_LAYERS, MAX_SHOTS
-from reupsim.states import read_dataset
+from reupsim.trainer import MAX_EPOCHS, MAX_LAYERS, MAX_SHOTS
+from reupsim.states import MAX_SPLIT_SIZE, read_dataset
 
 
 def run(argv):
@@ -49,6 +49,20 @@ class TestGenDataset:
             assert code == 2
             assert "size must be at least 1, got 0" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--train-size", "--test-size"])
+    @pytest.mark.parametrize("size", [MAX_SPLIT_SIZE + 1, 100000000000])
+    def test_split_size_is_bounded_before_allocating(self, tmp_path, capsys, option, size):
+        out = tmp_path / "ds"
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            run(["gen-dataset", "--task", "entropy", option, size, "--out", out])
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"reupsim gen-dataset: error: argument {option}: expected an "
+                          f"integer of at most {MAX_SPLIT_SIZE}, got '{size}'"]
+        assert not out.exists()
 
     def test_unwritable_path(self, tmp_path, capsys):
         blocker = tmp_path / "file.txt"
@@ -220,6 +234,38 @@ class TestTrain:
         assert errors == [f"reupsim train: error: argument --layers: expected an integer "
                           f"from 1 to {MAX_LAYERS}, got '{layers}'"]
 
+    @pytest.mark.parametrize("epochs", [MAX_EPOCHS + 1, 100000000000])
+    def test_epoch_count_is_bounded_before_allocating(self, tmp_path, capsys, epochs):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--dataset", tmp_path / "ds", "--epochs", epochs,
+                 "--out", tmp_path / "out"])
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"reupsim train: error: argument --epochs: expected an integer "
+                          f"of at most {MAX_EPOCHS}, got '{epochs}'"]
+        assert not (tmp_path / "out").exists()
+
+    def test_histogram_span_beyond_float_is_usage_error(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(["gen-dataset", "--task", "purity", "--train-size", 3,
+             "--test-size", 2, "--seed", 0, "--out", ds])
+        capsys.readouterr()
+        path = ds / "test.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for rec, purity in zip(records, (1e308, -1e308)):
+            rec["meta"]["purity"] = purity
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["train", "--dataset", ds, "--layers", 1, "--epochs", 1,
+                        "--out", tmp_path / "out"])
+        assert code == 2
+        assert capsys.readouterr().err == ("error: 'purity' meta spans [-1e+308, 1e+308], "
+                                           "too wide for histogram edges in float64\n")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_dataset(self, tmp_path, capsys):
         code = run(["train", "--dataset", tmp_path / "nope", "--out", tmp_path / "out"])
         assert code == 2
@@ -315,7 +361,7 @@ def test_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch, message, 
         raise MemoryError(message)
 
     monkeypatch.setattr("reupsim.cli.generate_dataset", exhausted)
-    code = run(["gen-dataset", "--task", "entropy", "--train-size", 100000000000,
+    code = run(["gen-dataset", "--task", "entropy", "--train-size", MAX_SPLIT_SIZE,
                 "--test-size", 5, "--out", tmp_path / "ds"])
     err = capsys.readouterr().err
     assert code == 2

@@ -14,6 +14,7 @@ from reupsim.states import (
     DensityMatrix,
     LabeledState,
     PauliWord,
+    bloch_ball_matrix,
     bloch_vector,
     density_fault,
     density_from_bloch,
@@ -145,6 +146,18 @@ def test_psi_t_bloch_vector():
     for bad in (0.0, 1.0, -0.3, 1.2):
         with pytest.raises(ValueError):
             psi_t(bad)
+
+
+def test_bloch_ball_matrix_is_the_sampled_state():
+    # the same draws and arithmetic, so the same bytes and the same stream after
+    a, b = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(20):
+        rho, m = sample_bloch_ball(a), bloch_ball_matrix(b)
+        assert rho.matrix.tobytes() == m.tobytes()
+        assert np.array_equal(bloch_vector(rho), bloch_vector(m))
+    assert a.random() == b.random()
+    with pytest.raises(ValueError, match="single-qubit"):
+        bloch_vector(np.eye(4) / 4)
 
 
 def test_density_from_bloch_roundtrip():

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reupsim import cli, verify
-from reupsim.linalg import PAULIS, haar_unitary, kron
-from reupsim.states import DensityMatrix, purity, sample_bloch_ball
+from reupsim import cli, states, verify
+from reupsim.channel import CouplingSpec, LayerSpec, apply_layer, rz_bloch
+from reupsim.linalg import PAULIS, haar_unitary, kron, pauli_word_basis
+from reupsim.states import DensityMatrix, PauliWord, bloch_vector, purity, sample_bloch_ball
 from reupsim.verify import (
     CHECKS,
     corr,
@@ -298,6 +299,104 @@ class TestStackedTrials:
         with pytest.raises(ValueError, match=f"^trial {bad}: u is not unitary$"):
             verify.observation1_check(trials=2 * verify.TRIAL_BLOCK)
         assert calls == [verify.TRIAL_BLOCK, verify.TRIAL_BLOCK]
+
+
+def evolution_formula_per_trial(trials: int, seed: int) -> np.ndarray:
+    """evolution-formula's violations from its one-trial-at-a-time loop of
+    before its states were validated per block: every state a DensityMatrix,
+    every layer through apply_layer."""
+    rng = np.random.default_rng(seed)
+    violations = []
+    for _ in range(trials):
+        n = int(rng.integers(1, 3))
+        alpha = int(rng.integers(1, 4**n))
+        theta = float(rng.uniform(-np.pi, np.pi))
+        d = 2**n
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m = g @ g.conj().T
+        rho = DensityMatrix(m / np.trace(m).real, n)
+        tau = sample_bloch_ball(rng)
+        layer = LayerSpec(theta, CouplingSpec.cu_alpha(PauliWord.from_index(alpha, n)))
+        out = bloch_vector(apply_layer(tau, rho, layer))
+        lam = float(np.trace(rho.matrix @ pauli_word_basis(n)[alpha]).real)
+        tilted = rz_bloch(theta) @ bloch_vector(tau)
+        want = np.array([tilted[0], lam * tilted[1], lam * tilted[2]])
+        violations.append(np.max(np.abs(out - want)))
+    return np.asarray(violations, dtype=float)
+
+
+class TestEvolutionFormulaBlocks:
+    """evolution-formula runs each trial on plain matrices and validates its
+    states once per block of TRIAL_BLOCK trials."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_per_trial_loop(self, seed):
+        longest = check_violations("evolution-formula", 260, seed)
+        for trials in (1, 125, 126, 260):  # 126 and 260 cross a block edge
+            got = check_violations("evolution-formula", trials, seed)
+            assert np.array_equal(got, evolution_formula_per_trial(trials, seed))
+            # trial k's violation is the same for every --trials > k
+            assert np.array_equal(got, longest[:trials])
+
+    def test_failing_state_named_in_second_block(self, monkeypatch, tmp_path, capsys):
+        bad = verify.TRIAL_BLOCK + 5
+        core = verify.apply_layer_unchecked
+        calls = []  # one entry per trial run so far
+
+        def skewed_output_at_bad(tau, rho, layer):
+            out = core(tau, rho, layer)
+            if len(calls) == bad:
+                out[0, 1] += 1e-6
+            calls.append(layer)
+            return out
+
+        monkeypatch.setattr(verify, "apply_layer_unchecked", skewed_output_at_bad)
+        message = f"trial {bad}: layer output: density matrix is not Hermitian within 1e-10"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify.evolution_formula_check(trials=2 * verify.TRIAL_BLOCK)
+        calls.clear()
+        report = tmp_path / "report.json"
+        assert cli.main(["verify", "--check", "evolution-formula", "--out", str(report)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not report.exists()
+
+    def test_first_failing_trial_named_across_stacks(self):
+        good = np.tile(np.eye(2, dtype=complex) / 2, (4, 1, 1))
+        rho, out = good.copy(), good.copy()
+        rho[2, 0, 0] = np.nan
+        out[1, 0, 1] = 1.0
+        stacks = (("rho", rho), ("tau", good), ("layer output", out))
+        with pytest.raises(ValueError, match="^trial 11: layer output: density matrix is not "):
+            verify._require_states(10, *stacks)
+        out[1], out[2, 0, 1] = good[1], 1.0  # a tie goes to the stack given first
+        with pytest.raises(ValueError, match="^trial 12: rho: density matrix has non-finite"):
+            verify._require_states(10, *stacks)
+        verify._require_states(10, ("rho", good), ("tau", good))
+
+    def test_no_state_built_in_the_trial_loop(self, monkeypatch):
+        built, stack_checks = [], []
+        post_init, prechecked = DensityMatrix.__post_init__, DensityMatrix.prechecked
+
+        def counting_post_init(rho):
+            built.append(rho)
+            post_init(rho)
+
+        def counting_prechecked(cls, matrix, n_qubits):
+            built.append(matrix)
+            return prechecked(matrix, n_qubits)
+
+        def counting_fault(stack):
+            stack_checks.append(len(stack))
+            return states.density_fault(stack)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counting_post_init)
+        monkeypatch.setattr(DensityMatrix, "prechecked", classmethod(counting_prechecked))
+        monkeypatch.setattr(verify, "density_fault", counting_fault)
+        assert verify.evolution_formula_check(trials=200)["pass"] is True
+        assert built == []
+        blocks = -(-200 // verify.TRIAL_BLOCK)
+        assert len(stack_checks) <= 3 * blocks
+        assert sorted(set(stack_checks)) == [200 - verify.TRIAL_BLOCK, verify.TRIAL_BLOCK]
 
 
 def _bits(x) -> bytes:
