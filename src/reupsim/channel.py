@@ -8,17 +8,21 @@ transfer over the Pauli coefficients of the input, and the stack of them for
 a sequence of layers, whose General layers share one stacked exp(iH); and
 `layer_affine_map` is its value at one input, the plain pair (m, d) of
 r -> m r + d.  A restricted coupling is one Pauli pair (i, alpha), and its
-transfer is the evolution formula (sigma_i kept, the other two signal Paulis
-scaled by lam_alpha) built with no unitary; only General couplings evolve
-the signal Paulis back through exp(iH).
+transfer is the evolution formula (a z-rotation, then sigma_i kept and the
+other two signal Paulis scaled by lam_alpha), written as the rotation's rows
+with no unitary and no einsum; only General couplings evolve the signal
+Paulis back through exp(iH).
 `affine_chain` pushes a batch of inputs through a chain of transfer tensors,
 one matmul per layer; it is the one batched kernel in sample space.
 `readout_chain` pushes the same tensors through coefficient space instead:
 the readout of a stack of restricted layers is a polynomial in the lam_alpha
 its couplings read, and the chain carries its coefficients and their exact
 derivatives in the layer angles; `readout_system` reads the readout's
-coefficients and Jacobian off it.  The compiler fits on it, and training
-uses it for restricted models.
+coefficients and Jacobian off it.  Both take the layers as arrays, not as a
+model: the couplings, the angle vector theta, the qubit count and the start
+state, and readout_system the readout w too.  So the compiler's fit and a
+restricted model's training step pass slices of their flat parameter vector
+and build no model per point.
 `hadamard_test` gives the exact ancilla value of the interference circuit,
 from the circuit's fixed factors built once per (dimension, imag) and
 cached read-only; shot sampling belongs to training alone (`sample_shots`).
@@ -218,9 +222,11 @@ def layer_transfer_tensor(layers, n_qubits: int) -> np.ndarray:
     The coupling's tensor t_C[i, j, alpha] = tr[C^dag (sigma_i (x) I) C
     (sigma_j (x) W_alpha)] / 2d, d = 2**n, turned by the signal z-rotation
     on the j axis: t[i, j, alpha] = sum_k t_C[i, k, alpha] (1 (+) R(theta))[k, j].
-    A restricted coupling (i, alpha) gives the evolution formula, three unit
-    entries and no unitary: sigma_i is kept and the other two signal Paulis
-    pick up W_alpha.  A General coupling evolves the signal Paulis back
+    A restricted coupling (i, alpha) gives the evolution formula with no
+    unitary: sigma_i is kept and the other two signal Paulis pick up W_alpha,
+    so t_C has three unit entries t_C[k-1, k, 0 if k == i else alpha] and t
+    is row k-1 of R(theta) written at t[k-1, 1:, 0 if k == i else alpha].
+    A General coupling evolves the signal Paulis back
     through its layer unitary exp(iH) (Rz(theta) (x) I), which carries the
     rotation, and reads them off over the (n+1)-qubit Pauli words.  A
     sequence builds its General layers together: one stacked exp_i_hermitian,
@@ -238,11 +244,11 @@ def layer_transfer_tensor(layers, n_qubits: int) -> np.ndarray:
         if coupling.variant == "General":
             general.append(l)
             continue
+        # + 0.0 turns the -0.0 of -sin(0) into the +0.0 a sum over k gives
         i, alpha = coupling.pauli_pair
-        t = out[l]
+        t, rot = out[l], rz_bloch(layer.theta) + 0.0
         for k in (1, 2, 3):
-            t[k - 1, k, 0 if k == i else alpha] = 1.0
-        t[:, 1:] = np.einsum("ika,kj->ija", t[:, 1:], rz_bloch(layer.theta))
+            t[k - 1, 1:, 0 if k == i else alpha] = rot[k - 1]
     if general:
         out[general] = _general_tensors([stack[l] for l in general], n_qubits)
     return out if stack is layers else out[0]
@@ -316,12 +322,16 @@ def coefficient_grid(alphas):
     return variables, [alphas.count(a) + 1 for a in variables]
 
 
-def readout_chain(model: ReuploadModel, variables, shape) -> np.ndarray:
+def readout_chain(couplings, thetas, n_qubits: int, initial_signal: str,
+                  variables, shape) -> np.ndarray:
     """Coefficient tensors of (1, r1, r2, r3) as polynomials in the lam at
     variables, with their derivatives in the layer angles: shape
     (4, L+1, *shape), slot 0 the tensors and slot l their derivative in
     theta_l.
 
+    The layers are couplings[l] after a z-rotation by thetas[l] on
+    n_qubits-qubit inputs, entered from the signal state initial_signal;
+    the caller holds them as arrays, so no model is built or validated.
     c[:, 0, e_1, .., e_K] is the coefficient of prod lam_{variables[k]}^e_k.
     Each layer's transfer tensor acts on every slot as on (1, r)
     (push_layer); other words count as zero, and degrees past shape are
@@ -331,29 +341,32 @@ def readout_chain(model: ReuploadModel, variables, shape) -> np.ndarray:
     0) of the coefficients before it, and each layer pushes every slot so far
     at once.
     """
-    L = len(model.layers)
+    L = len(couplings)
     c = np.zeros((4, L + 1, *shape))
-    c[(slice(None), 0) + (0,) * len(shape)] = [1.0, *initial_bloch(model.initial_signal)]
-    for l, layer in enumerate(model.layers, start=1):
+    c[(slice(None), 0) + (0,) * len(shape)] = [1.0, *initial_bloch(initial_signal)]
+    for l, (coupling, theta) in enumerate(zip(couplings, thetas), start=1):
         c[1, l] = -c[2, 0]
         c[2, l] = c[1, 0]
-        c[1:, : l + 1] = push_layer(layer_transfer_tensor(layer, model.n_qubits),
+        c[1:, : l + 1] = push_layer(layer_transfer_tensor(LayerSpec(theta, coupling), n_qubits),
                                     c[:, : l + 1], variables)
     return c
 
 
-def readout_system(model: ReuploadModel, variables, shape):
-    """(a, jacobian) off one readout_chain: a has columns r1, r2, r3, 1, so
-    a @ (w, b) are the readout's coefficients, flattened, and jacobian is
-    their exact Jacobian in p = (theta_1 .. theta_L, w1, w2, w3, b).  The
-    theta columns are the tangents contracted with w, the (w, b) columns
-    are a itself."""
-    L = len(model.layers)
-    c = readout_chain(model, variables, shape).reshape(4, L + 1, -1)
+def readout_system(couplings, thetas, w, n_qubits: int, initial_signal: str,
+                   variables, shape):
+    """(a, jacobian) off one readout_chain of the layers (couplings, thetas)
+    and the readout weights w, a float array of 3: a has columns r1, r2, r3,
+    1, so a @ (w, b) are the readout's coefficients, flattened, and jacobian
+    is their exact Jacobian in p = (theta_1 .. theta_L, w1, w2, w3, b).  The
+    theta columns are the tangents contracted with w, the (w, b) columns are
+    a itself."""
+    L = len(couplings)
+    c = readout_chain(couplings, thetas, n_qubits, initial_signal, variables, shape)
+    c = c.reshape(4, L + 1, -1)
     a = c[[1, 2, 3, 0], 0].T
     # the product np.tensordot(w, c[1:, 1:], axes=1) forms, without its overhead
-    thetas = np.dot(model.readout_w.reshape(1, 3), c[1:, 1:].reshape(3, -1)).reshape(L, -1).T
-    return a, np.concatenate([thetas, a], axis=1)
+    tangents = np.dot(w.reshape(1, 3), c[1:, 1:].reshape(3, -1)).reshape(L, -1).T
+    return a, np.concatenate([tangents, a], axis=1)
 
 
 def layer_affine_map(layer: LayerSpec, rho: DensityMatrix):

@@ -36,7 +36,7 @@ from .trainer import (
     report_to_json,
     train,
 )
-from .verify import CHECK_TOLERANCES, CHECKS, run_check
+from .verify import CHECK_TOLERANCES, CHECKS, MAX_TRIALS, run_check
 
 PRESETS = (
     "poly-linear",
@@ -300,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run numerical certificates")
     p.add_argument("--check", choices=sorted(CHECKS), default=None,
                    help="single check to run (default: all)")
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=_at_most(MAX_TRIALS), default=None)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_verify)

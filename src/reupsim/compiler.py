@@ -7,13 +7,15 @@ components by one coefficient lam_alpha, and z-rotations move weight between
 the fixed x component and the scaled plane.  Every route reads the
 readout's coefficients and their exact Jacobian in the layer angles off
 `channel.readout_system`, the one coefficient chain, which training uses
-too.  `extract_coefficients` reads a circuit back independently, from probe
-inputs.  `schedule_layers` lays out one block of couplings per target
-monomial, `compile_univariate_delta` realizes a univariate coefficient
-ladder to second order in a small angle scale, and `fit_coefficients`
-drives the residual down with one damped Gauss-Newton fit over every angle
-and the readout, or uses an exact one-hot, two-squares or near-singular
-kick construction for the targets those cover.
+too; the Gauss-Newton fit hands it the slices of its parameter vector, so
+a fit builds one model, the circuit it returns.  `extract_coefficients`
+reads a circuit back independently, from probe inputs.  `schedule_layers`
+lays out one block of couplings per target monomial,
+`compile_univariate_delta` realizes a univariate coefficient ladder to
+second order in a small angle scale, and `fit_coefficients` drives the
+residual down with one damped Gauss-Newton fit over every angle and the
+readout, or uses an exact one-hot, two-squares or near-singular kick
+construction for the targets those cover.
 """
 
 from __future__ import annotations
@@ -175,14 +177,6 @@ def _schedule_variables(poly: PolynomialSpec) -> list:
 # ---------------------------------------------------------------------------
 # exact univariate polynomial bookkeeping
 
-def _univariate_coeffs(model: ReuploadModel) -> np.ndarray:
-    """Readout coefficient ladder (degree 0..L) of a stack whose couplings
-    all scale by one variable, exact in float arithmetic."""
-    alpha = model.layers[0].coupling.pauli_pair[1]
-    c = readout_chain(model, [alpha], [len(model.layers) + 1])[:, 0]
-    return model.readout_w @ c[1:] + model.readout_b * c[0]
-
-
 def _small_angle_start(v: np.ndarray, delta: float):
     """Angles theta_l = v[L+1-l] * delta, l = 1..L, readout w = (0, 1/delta,
     0) and b = v[0] of the small-angle circuit of the ladder v (degree 0..L)."""
@@ -208,7 +202,8 @@ def compile_univariate_delta(target, delta: float) -> CompiledCircuit:
         return CompiledCircuit(model, [], delta=delta, residual=0.0)
     thetas, w, b = _small_angle_start(v, delta)
     model = ReuploadModel(1, [LayerSpec(th, CouplingSpec.cnot()) for th in thetas], w, b)
-    realized = _univariate_coeffs(model)
+    c = readout_chain([CouplingSpec.cnot()] * L, thetas, 1, "plus", [3], [L + 1])[:, 0]
+    realized = w @ c[1:] + b * c[0]
     return CompiledCircuit(
         model, list(range(1, L + 1)), delta=delta, residual=float(np.max(np.abs(realized - v)))
     )
@@ -313,9 +308,8 @@ def jacobian_theta0(n_layers: int) -> np.ndarray:
     """
     if n_layers < 1:
         raise ValueError("need at least one layer")
-    layers = [LayerSpec(0.0, CouplingSpec.cnot()) for _ in range(n_layers)]
-    model = ReuploadModel(1, layers, np.array([0.0, 1.0, 0.0]), 0.0)
-    return readout_system(model, [3], [n_layers + 1])[1]
+    return readout_system([CouplingSpec.cnot()] * n_layers, np.zeros(n_layers),
+                          np.array([0.0, 1.0, 0.0]), 1, "plus", [3], [n_layers + 1])[1]
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +323,19 @@ def _su2(axis, angle: float) -> np.ndarray:
 
 
 def _target_tensor(poly: PolynomialSpec, variables, shape) -> np.ndarray:
+    """The target's coefficients on the grid; like monomials add up, and a
+    sum past float64 is refused, since no fit reaches it."""
     t = np.zeros(shape)
     t[(0,) * len(shape)] = poly.c0
     pos = {v: k for k, v in enumerate(variables)}
-    for m in poly.monomials:
-        idx = [0] * len(shape)
-        for a, e in m.exps.items():
-            idx[pos[a]] = e
-        t[tuple(idx)] += m.coeff
+    with np.errstate(over="ignore"):
+        for m in poly.monomials:
+            idx = [0] * len(shape)
+            for a, e in m.exps.items():
+                idx[pos[a]] = e
+            t[tuple(idx)] += m.coeff
+    if not np.isfinite(t).all():
+        raise ValueError("target coefficients overflow float64 once like monomials are summed")
     return t
 
 
@@ -353,7 +352,8 @@ def _coefficient_system(model: ReuploadModel, poly: PolynomialSpec):
     (a, target): a as in channel.readout_system, target flattened the same way.
     """
     variables, shape = _system_axes(poly)
-    a, _ = readout_system(model, variables, shape)
+    a, _ = readout_system([l.coupling for l in model.layers], [l.theta for l in model.layers],
+                          model.readout_w, model.n_qubits, model.initial_signal, variables, shape)
     return a, _target_tensor(poly, variables, shape).ravel()
 
 
@@ -399,19 +399,17 @@ def _fit_gauss_newton(poly: PolynomialSpec, starts) -> CompiledCircuit:
 
     Each start runs until the sup-norm coefficient error drops below 1e-12;
     the search keeps the best run and stops at the first under FIT_TOL.
-    Each point's residual and Jacobian come from one readout_system.
+    Each point's residual and Jacobian come from one readout_system on the
+    slices of p; the fit builds one model, the circuit it returns.
     """
     couplings = schedule_layers(poly)
     L = len(couplings)
     variables, shape = _system_axes(poly)
     target = _target_tensor(poly, variables, shape).ravel()
 
-    def circuit(p):
-        layers = [LayerSpec(float(th), c) for th, c in zip(p[:L], couplings)]
-        return ReuploadModel(poly.n_qubits, layers, p[L : L + 3], float(p[L + 3]))
-
     def system(p):
-        a, jac = readout_system(circuit(p), variables, shape)
+        a, jac = readout_system(couplings, p[:L], p[L : L + 3], poly.n_qubits, "plus",
+                                variables, shape)
         return a @ p[L:] - target, jac
 
     best_p, best_res = None, np.inf
@@ -421,7 +419,9 @@ def _fit_gauss_newton(poly: PolynomialSpec, starts) -> CompiledCircuit:
             best_p, best_res = p, res
         if best_res < FIT_TOL:
             break
-    return CompiledCircuit(circuit(best_p), list(range(1, L + 1)), residual=best_res)
+    layers = [LayerSpec(float(th), c) for th, c in zip(best_p[:L], couplings)]
+    model = ReuploadModel(poly.n_qubits, layers, best_p[L : L + 3], float(best_p[L + 3]))
+    return CompiledCircuit(model, list(range(1, L + 1)), residual=best_res)
 
 
 def _fit_univariate(poly: PolynomialSpec) -> CompiledCircuit:

@@ -6,6 +6,8 @@ fewer coefficients than there are training samples, trains on those
 coefficients: one channel.readout_system per step gives them and their
 Jacobian in the parameters, the outputs are the samples' monomials V times
 the coefficients, and the gradient is (V^T dloss/df) times the Jacobian.
+Its steps read the angles and the readout (w, b) straight off the flat
+parameter vector, so such a train calls unpack_params once, at the end.
 Every other model (General or mixed couplings, or as many coefficients as
 samples) trains on the samples: each forward pass builds the stack of
 transfer tensors in one layer_transfer_tensor call and batches the whole
@@ -14,12 +16,13 @@ gives the loss derivative with respect to the layer's transfer tensor.  That
 is pulled back to a restricted coupling's angle through the signal
 z-rotation, and to the General generators' coefficients through the
 analytic derivative of exp(iH), all of a step's General layers in one call;
-the readout (w, b) is differentiated directly.  On either path a full-batch
-epoch reuses the point of its recorded loss for the gradient, and evaluate
-runs on the samples.  Updates are Adam, and a step that leaves a parameter
-non-finite stops training with an error that names the epoch; loss_history is
-one float64 array; gradient_fd is the central-difference oracle the tests
-compare against.
+the readout (w, b) is differentiated directly.  This path still unpacks a
+model at every point.  On either path a full-batch epoch reuses the point
+of its recorded loss for the gradient, and evaluate runs on the samples.
+Updates are Adam, and a step that leaves a parameter non-finite stops
+training with an error that names the epoch; loss_history is one float64
+array; gradient_fd is the central-difference oracle the tests compare
+against.
 """
 
 from __future__ import annotations
@@ -396,12 +399,17 @@ def _coefficient_path(work: ReuploadModel, lam, y, config: TrainConfig, variable
     """(point, batch_gradient) as in _sample_path, on the coefficient chain of
     a restricted model: with V the samples' monomials and (a, J) one
     readout_system, the outputs are V a (w, b), the Bloch vectors V a[:, :3]
-    and the gradient (V^T dloss/df) J.  (w, b) are the last four entries of
-    p (pack_params)."""
+    and the gradient (V^T dloss/df) J.  In pack_params order p holds the L
+    angles, then (w, b); readout_system reads them straight off p, with the
+    couplings, n and the start state taken from work once, so no step
+    builds a model."""
     v = _monomials(lam, variables, shape)
+    couplings = [layer.coupling for layer in work.layers]
+    L = len(couplings)
 
     def system(p):
-        return readout_system(unpack_params(work, p), variables, shape)
+        return readout_system(couplings, p[:L], p[L : L + 3], work.n_qubits,
+                              work.initial_signal, variables, shape)
 
     def point(p):
         a, jac = system(p)

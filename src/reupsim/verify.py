@@ -53,6 +53,13 @@ CHECK_TOLERANCES = {
 # observation1 stack raises the process's peak memory by a few MB.
 TRIAL_BLOCK = 125
 
+# Most trials `reupsim verify --trials` runs.  A run keeps one float64
+# violation a trial, 8 bytes (swap-test a Python float in a list, about 32),
+# so 8 MB (32 MB) at this cap; its time is the limit that binds: about
+# 150 us a trial for evolution-formula and 100 us for swap-test on a 2-vCPU
+# x86-64 VM, so about 2.5 minutes at this cap.
+MAX_TRIALS = 1_000_000
+
 _SIGNAL_PAULIS = pauli_word_basis(2)[4::4]  # sigma_i (x) I, i = 1..3
 _SIGMA = pauli_word_basis(1)[1:]
 

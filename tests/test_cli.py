@@ -5,9 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+from reupsim import cli
 from reupsim.cli import _Row, _print_rows, main
 from reupsim.trainer import MAX_EPOCHS, MAX_LAYERS, MAX_SHOTS
 from reupsim.states import MAX_SPLIT_SIZE, read_dataset
+from reupsim.verify import MAX_TRIALS
 
 
 def run(argv):
@@ -294,6 +296,21 @@ class TestVerify:
             captured = capsys.readouterr()
             assert f"trials must be at least 1, got {trials}" in captured.err
             assert "PASS" not in captured.out
+
+    @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**12])
+    def test_trial_count_is_bounded_before_any_check_runs(self, tmp_path, capsys, monkeypatch,
+                                                           trials):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(cli, "run_check", refuse)
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--trials", trials, "--out", tmp_path / "report.json"])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"reupsim verify: error: argument --trials: expected an integer "
+                          f"of at most {MAX_TRIALS}, got '{trials}'"]
+        assert not (tmp_path / "report.json").exists()
 
     def test_unknown_check_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

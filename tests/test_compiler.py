@@ -337,7 +337,8 @@ class TestReadoutJacobian:
 
         for _ in range(3):
             p = rng.normal(size=L + 4)
-            jac = readout_system(model(p), variables, shape)[1]
+            jac = readout_system(couplings, p[:L], p[L : L + 3], poly.n_qubits, initial_signal,
+                                 variables, shape)[1]
             want = fd_jacobian(readout_coeffs, p, 1e-5)
             assert jac.shape == want.shape
             np.testing.assert_allclose(jac, want, rtol=0, atol=1e-7 * np.max(np.abs(want)))
@@ -497,3 +498,35 @@ class TestFit:
         circ = fit_coefficients(BENCH_ROUTES[0])
         assert len(circ.model.layers) == 6
         assert len(calls) == 12
+
+
+class TestModelBuilds:
+    @pytest.mark.parametrize("poly", [quartic_spec(), BENCH_ROUTES[-1]],
+                             ids=["univariate", "general"])
+    def test_gauss_newton_builds_one_model_per_fit(self, poly, monkeypatch):
+        # every point of the fit reads p's slices; only the returned circuit is a model
+        builds, systems = [], []
+        post_init, system = ReuploadModel.__post_init__, compiler.readout_system
+
+        def counted_post_init(model):
+            builds.append(1)
+            post_init(model)
+
+        def counted_system(*args):
+            systems.append(1)
+            return system(*args)
+
+        monkeypatch.setattr(ReuploadModel, "__post_init__", counted_post_init)
+        monkeypatch.setattr(compiler, "readout_system", counted_system)
+        circ = fit_coefficients(poly)
+        assert circ.residual <= FIT_TOL
+        assert len(systems) > 1 and len(builds) == 1
+
+
+def test_target_past_float64_is_refused_by_name():
+    # like monomials add up; 2e308 fits no float64, so no fit can reach it
+    for terms in ([(1e308, {3: 1}), (1e308, {3: 1})],
+                  [(1e308, {1: 1, 2: 1}), (1e308, {1: 1, 2: 1}), (0.1, {3: 1})]):
+        poly = PolynomialSpec(1, 0.0, [MonomialSpec(c, e) for c, e in terms])
+        with pytest.raises(ValueError, match="target coefficients overflow float64"):
+            fit_coefficients(poly)

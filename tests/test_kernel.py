@@ -137,13 +137,43 @@ def test_restricted_tensor_is_the_evolution_formula(coupling, n, i, alpha):
     assert np.array_equal(layer_transfer_tensor(LayerSpec(0.0, coupling), n), formula)
 
 
+def einsum_restricted_tensor(theta: float, i: int, alpha: int, n: int) -> np.ndarray:
+    """A restricted layer's tensor built as zeros, the three unit entries of
+    t_C and an einsum against R(theta): the reference the direct write of
+    R(theta)'s rows must equal byte for byte."""
+    t = np.zeros((3, 4, 4**n))
+    for k in (1, 2, 3):
+        t[k - 1, k, 0 if k == i else alpha] = 1.0
+    t[:, 1:] = np.einsum("ika,kj->ija", t[:, 1:], rz_bloch(theta))
+    return t
+
+
+# exact zeros of sin and cos of either sign, the quarter and half turns,
+# and random angles over several turns
+BYTE_ANGLES = (0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi,
+               *np.random.default_rng(5).uniform(-4 * np.pi, 4 * np.pi, 10))
+
+
+@pytest.mark.parametrize("coupling, n, i, alpha", RESTRICTED)
+def test_restricted_tensor_is_byte_identical_to_the_einsum_build(coupling, n, i, alpha):
+    # a last-bit or sign-of-zero change would be amplified by long Adam runs
+    want = np.stack([einsum_restricted_tensor(th, i, alpha, n) for th in BYTE_ANGLES])
+    got = np.stack([layer_transfer_tensor(LayerSpec(th, coupling), n) for th in BYTE_ANGLES])
+    stacked = layer_transfer_tensor([LayerSpec(th, coupling) for th in BYTE_ANGLES], n)
+    for t in (got, stacked):
+        assert np.array_equal(t, want)
+        assert np.array_equal(np.signbit(t), np.signbit(want))
+
+
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(model=models(), data=st.data())
 def test_readout_polynomials_equal_affine_chain(model, data):
     n = model.n_qubits
     variables = data.draw(st.lists(st.integers(1, 4**n - 1), min_size=1, max_size=2, unique=True))
     # every layer raises each variable's degree by at most one: nothing is truncated
-    c = readout_chain(model, variables, [len(model.layers) + 1] * len(variables))[:, 0]
+    c = readout_chain([l.coupling for l in model.layers], [l.theta for l in model.layers],
+                      n, model.initial_signal, variables,
+                      [len(model.layers) + 1] * len(variables))[:, 0]
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     lam_ext = np.zeros((5, 4**n))
     lam_ext[:, 0] = 1.0

@@ -420,6 +420,48 @@ class TestCoefficientPath:
                 '{"loss_history": [' + ", ".join(map(repr, rep.loss_history.tolist())) + "]")
 
 
+def count_model_builds(monkeypatch) -> dict:
+    """Count unpack_params calls and ReuploadModel constructions from here on."""
+    counts = {"unpack_params": 0, "ReuploadModel": 0}
+    unpack, post_init = trainer.unpack_params, ReuploadModel.__post_init__
+
+    def counted_unpack(*args):
+        counts["unpack_params"] += 1
+        return unpack(*args)
+
+    def counted_post_init(model):
+        counts["ReuploadModel"] += 1
+        post_init(model)
+
+    monkeypatch.setattr(trainer, "unpack_params", counted_unpack)
+    monkeypatch.setattr(ReuploadModel, "__post_init__", counted_post_init)
+    return counts
+
+
+class TestModelBuilds:
+    @pytest.mark.parametrize("batch_size", [0, 8])
+    def test_restricted_train_unpacks_once(self, monkeypatch, batch_size):
+        # the steps read the angles and (w, b) straight off p: the working
+        # copy and the trained model are the only models, whatever the epochs
+        data, test = generate_dataset("band", 40, 10, seed=13)
+        counts = count_model_builds(monkeypatch)
+        seen = []
+        for epochs in (3, 30):
+            model = restricted_model()
+            counts.update(unpack_params=0, ReuploadModel=0)
+            train(model, data, test, TrainConfig(max_epochs=epochs, seed=0, batch_size=batch_size))
+            seen.append(dict(counts))
+        assert seen == [{"unpack_params": 1, "ReuploadModel": 2}] * 2
+
+    def test_general_train_still_unpacks_every_point(self, monkeypatch):
+        # the sample path rebuilds its model at each epoch's point, and once
+        # for the trained model; pinned so that a flat General layout shows here
+        data, test = generate_dataset("band", 40, 10, seed=13)
+        counts = count_model_builds(monkeypatch)
+        train(random_model(1, 2, seed=0), data, test, TrainConfig(max_epochs=5, seed=0))
+        assert counts["unpack_params"] == 5 + 2
+
+
 class TestEvaluate:
     def test_accuracy_and_mse(self):
         data, test = generate_dataset("band", 40, 40, seed=2)
